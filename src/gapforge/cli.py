@@ -2,7 +2,7 @@
 
 Every command is deterministic given its inputs and seed: reports embed the
 seed and effective parameters, carry a schema version, and never include
-wall-clock times, so reruns are byte-identical regardless of --jobs.
+wall-clock times, so reruns are byte-identical.
 
 Exit codes: 0 success/pass, 1 verified failure (with witness in the report),
 2 usage or parse error, 3 resource cap exceeded.
@@ -57,7 +57,7 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int, jobs: int) -> list[dict]:
+def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
     """Per-layer sampler reports over the wiring viewed as set families.
 
     Randomized layers are multisets and are skipped (goodness verdicts cover
@@ -84,7 +84,7 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int, jobs: int) -> 
             ),
         )
         corpus = sampler.adversarial_corpus(fam, seed)
-        rep = sampler.certify_sampler(fam, corpus, jobs=jobs)
+        rep = sampler.certify_sampler(fam, corpus)
         doc = rep.to_doc()
         doc["layer"] = layer
         docs.append(doc)
@@ -94,13 +94,6 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int, jobs: int) -> 
 def cmd_transform(args) -> int:
     seed = _seed(args)
     base = _load_instance(args.input)
-    scheme = circuit_mod.DEFAULT_SCHEME
-    if args.theta:
-        scheme_theta = Fraction(args.theta)
-        if scheme_theta != scheme.theta:
-            raise GapforgeError(
-                "custom theta requires a custom (c, s) pair; override not supported here"
-            )
     m = base.num_clauses
     if args.variant == "det":
         circ = circuit_mod.build_deterministic(m, seed=seed)
@@ -191,7 +184,7 @@ def cmd_certify(args) -> int:
         "command": "certify",
         "seed": seed,
         "certificate": cert.to_doc(),
-        "sampler_reports": _certificate_reports(circ, seed, args.jobs),
+        "sampler_reports": _certificate_reports(circ, seed),
     }
     if args.out_cert:
         Path(args.out_cert).write_text(
@@ -323,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (falls back to GAPFORGE_SEED, then 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap; outputs do not depend on it")
         p.add_argument("--report", type=str, default=None,
                        help="write the JSON report here instead of stdout")
 
@@ -332,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--variant", choices=("det", "rand"), default="det")
     p.add_argument("--fanin", type=int, default=None)
-    p.add_argument("--theta", type=str, default=None)
     p.add_argument("--cert", type=str, default=None, help="goodness certificate file")
     p.add_argument("--certify", action="store_true", help="certify in-process")
     p.add_argument("--waive-cert", action="store_true")

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import MalformedInstanceError, ParseError, ResourceCapError
 
@@ -49,13 +51,6 @@ class Clause:
     @property
     def num_rows(self) -> int:
         return 1 << len(self.scope)
-
-    def row_index(self, bits: Sequence[int]) -> int:
-        """Table row for the scoped bits (scope[0] is the most significant)."""
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (b & 1)
-        return idx
 
     def table_bits(self) -> list[int]:
         return [(self.table >> j) & 1 for j in range(self.num_rows)]
@@ -159,6 +154,25 @@ def evaluate_clause(clause: Clause, assignment: Sequence[int]) -> int:
             )
         idx = (idx << 1) | (assignment[v] & 1)
     return (clause.table >> idx) & 1
+
+
+def clause_values(
+    clause: Clause, words: np.ndarray, bit_of: Mapping[int, int] | None = None
+) -> np.ndarray:
+    """Vectorized evaluate_clause over packed assignments: the clause value
+    (uint8) on every integer in words. Variable v is read from bit bit_of[v]
+    of a word, or from bit v when bit_of is None."""
+    idx = np.zeros(np.shape(words), dtype=np.int64)
+    for v in clause.scope:
+        b = v if bit_of is None else bit_of[v]
+        idx = (idx << 1) | ((words >> b) & 1).astype(np.int64)
+    return np.array(clause.table_bits(), dtype=np.uint8)[idx]
+
+
+def table_from_bits(bits: np.ndarray) -> int:
+    """Table int whose bit j is bits[j], the inverse of Clause.table_bits."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def satisfied_count(inst: CspInstance, assignment: Sequence[int]) -> int:

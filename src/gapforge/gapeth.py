@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .csp import Clause, CspInstance, csp_to_3sat
+from .csp import Clause, CspInstance, clause_values, csp_to_3sat, table_from_bits
 from .errors import GapforgeError, InfeasibleParametersError, ResourceCapError, ShapeMismatchError
-from .oracle import chernoff_tail, clause_sat_matrix, lll_condition
+from .oracle import chernoff_tail, lll_condition
 from .sampler import (
     SamplerFamily,
     SamplerParams,
@@ -141,6 +141,18 @@ class BalanceReport:
         }
 
 
+def _extremal_sums(
+    counts: np.ndarray, heavy_size: int, light_size: int
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The heavy_size heaviest and light_size lightest clauses by occurrence
+    count, ties broken as sorting (count, index) pairs would, as sorted
+    witness indices with their count sums."""
+    order = np.argsort(counts, kind="stable")
+    heavy = np.sort(order[counts.size - heavy_size :])
+    light = np.sort(order[:light_size])
+    return heavy, light, int(counts[heavy].sum()), int(counts[light].sum())
+
+
 def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
     """Exact extremal-subset check via sorted occurrence counts.
 
@@ -150,17 +162,14 @@ def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
     """
     m = lst.base_clauses
     L = len(lst.entries)
-    counts = lst.occurrence_counts()
-    order = sorted(range(m), key=lambda j: (counts[j], j))
     heavy_size_frac = p.s * m
     light_size_frac = p.s * (1 + p.epsilon) * m
     heavy_size = floor_frac(heavy_size_frac)
     light_size = floor_frac(light_size_frac)
     floored = (heavy_size != heavy_size_frac) or (light_size != light_size_frac)
-    heavy_witness = tuple(sorted(order[m - heavy_size :])) if heavy_size else ()
-    light_witness = tuple(sorted(order[:light_size])) if light_size else ()
-    heavy_sum = int(counts[list(heavy_witness)].sum()) if heavy_size else 0
-    light_sum = int(counts[list(light_witness)].sum()) if light_size else 0
+    heavy, light, heavy_sum, light_sum = _extremal_sums(
+        lst.occurrence_counts(), heavy_size, light_size
+    )
     heavy_bound = p.s * (1 + p.epsilon / 3) * L
     light_bound = p.s * (1 + 2 * p.epsilon / 3) * L
     heavy_ok = Fraction(heavy_sum) <= heavy_bound
@@ -175,8 +184,8 @@ def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
         light_sum=light_sum,
         heavy_bound=heavy_bound,
         light_bound=light_bound,
-        heavy_witness=heavy_witness,
-        light_witness=light_witness,
+        heavy_witness=tuple(heavy.tolist()),
+        light_witness=tuple(light.tolist()),
         floored=floored,
     )
 
@@ -213,28 +222,41 @@ def _threshold_clause(
 ) -> Clause:
     """Clause satisfied iff at least thr_count of the sampled base clauses
     (with multiplicity) hold; scope is the union of their variables."""
-    scope = tuple(sorted({v for j in sampled for v in base.clauses[j].scope}))
+    mult = np.bincount(np.asarray(sampled, dtype=np.int64), minlength=base.num_clauses)
+    used = np.flatnonzero(mult)
+    scope = tuple(sorted({v for j in used for v in base.clauses[j].scope}))
     w = len(scope)
     if (1 << w) > table_cap:
         raise ResourceCapError(
             f"threshold clause scope of {w} variables exceeds table cap {table_cap}"
         )
-    col = {v: i for i, v in enumerate(scope)}
     patterns = np.arange(1 << w, dtype=np.int64)
-    mult = np.bincount(np.asarray(sampled, dtype=np.int64), minlength=base.num_clauses)
+    bit_of = {v: w - 1 - i for i, v in enumerate(scope)}
     sums = np.zeros(patterns.size, dtype=np.int64)
-    for j in np.flatnonzero(mult):
-        clause = base.clauses[j]
-        idx = np.zeros(patterns.size, dtype=np.int64)
-        for v in clause.scope:
-            idx = (idx << 1) | ((patterns >> (w - 1 - col[v])) & 1)
-        table = np.array(clause.table_bits(), dtype=np.int64)
-        sums += int(mult[j]) * table[idx]
-    ok = sums >= thr_count
-    table_int = 0
-    for row in np.flatnonzero(ok):
-        table_int |= 1 << int(row)
-    return Clause(scope=scope, table=table_int)
+    for j in used:
+        sums += mult[j] * clause_values(base.clauses[j], patterns, bit_of)
+    return Clause(scope=scope, table=table_from_bits(sums >= thr_count))
+
+
+def _pattern_sat_matrix(base: CspInstance) -> np.ndarray:
+    """Float32 clause-by-pattern satisfaction matrix over all 2^n full-scope
+    table patterns (variable 0 is the most significant pattern bit)."""
+    n = base.num_vars
+    patterns = np.arange(1 << n, dtype=np.int64)
+    bit_of = {v: n - 1 - v for v in range(n)}
+    return np.array(
+        [clause_values(c, patterns, bit_of) for c in base.clauses], dtype=np.float32
+    )
+
+
+def _set_counts(samples: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Per-set sums of the rows of M: row i of samples lists the base clauses
+    set i drew (with repeats), and the result is mult @ M for the (r, m)
+    multiplicity matrix mult. Float32 is exact for these integer counts."""
+    r, m = samples.shape[0], M.shape[0]
+    flat = (samples + m * np.arange(r)[:, None]).ravel()
+    mult = np.bincount(flat, minlength=r * m).reshape(r, m).astype(np.float32)
+    return mult @ M
 
 
 @dataclass(frozen=True)
@@ -405,41 +427,29 @@ def reduce_one_sided(
     if not balance.balanced:
         return canonical_no_instance(L), report
     thr_count = threshold_count(p.threshold, fam.set_size)
-    entries = lst.entries
-    full_scope = tuple(range(base.num_vars))
-    sampled_per_set = [[entries[pos] for pos in s] for s in fam.sets]
-    scopes = [
-        tuple(sorted({v for j in sampled for v in base.clauses[j].scope}))
-        for sampled in sampled_per_set
-    ]
-    counts_mat = None
-    if base.num_vars <= 16 and (1 << base.num_vars) <= table_cap:
-        # batch path: one satisfied-count matrix serves every full-scope set
-        cols = 1 << base.num_vars
-        M = clause_sat_matrix(base, np.arange(cols, dtype=np.uint64)).astype(
-            np.float32
+    n = base.num_vars
+    samples = np.asarray(lst.entries)[np.asarray(fam.sets, dtype=np.int64)]
+    if n > 16 or (1 << n) > table_cap:
+        clauses = [_threshold_clause(base, row, thr_count, table_cap) for row in samples]
+        return CspInstance(n, tuple(clauses)), report
+    # A set's threshold clause never reads variables outside its scope, so its
+    # table is its full-pattern count row at the patterns that are 0 there.
+    # Those patterns, taken in increasing order, are the scoped table rows.
+    sat = _set_counts(samples, _pattern_sat_matrix(base)) >= float(thr_count)
+    var_incidence = np.zeros((base.num_clauses, n), dtype=np.float32)
+    for j, c in enumerate(base.clauses):
+        var_incidence[j, list(c.scope)] = 1.0
+    in_scope = _set_counts(samples, var_incidence) > 0
+    outside = ~(in_scope @ (1 << (n - 1 - np.arange(n, dtype=np.int64))))
+    patterns = np.arange(1 << n, dtype=np.int64)
+    clauses = [
+        Clause(
+            scope=tuple(np.flatnonzero(in_scope[i]).tolist()),
+            table=table_from_bits(sat[i][(patterns & outside[i]) == 0]),
         )
-        A = fam.incidence().astype(np.float32)
-        ind = np.zeros((L, base.num_clauses), dtype=np.float32)
-        ind[np.arange(L), np.asarray(entries)] = 1.0
-        counts_mat = (A @ ind) @ M
-        revidx = np.zeros(cols, dtype=np.int64)
-        for j in range(cols):
-            revidx[j] = int(
-                format(j, f"0{base.num_vars}b")[::-1], 2
-            )
-    clauses = []
-    for i, sampled in enumerate(sampled_per_set):
-        if counts_mat is not None and scopes[i] == full_scope:
-            bits = counts_mat[i][revidx] >= float(thr_count)
-            table_int = int.from_bytes(
-                np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(),
-                "little",
-            )
-            clauses.append(Clause(scope=full_scope, table=table_int))
-        else:
-            clauses.append(_threshold_clause(base, sampled, thr_count, table_cap))
-    return CspInstance(base.num_vars, tuple(clauses)), report
+        for i in range(L)
+    ]
+    return CspInstance(n, tuple(clauses)), report
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +572,7 @@ def two_sided_sweep(
     if base.num_vars > 16:
         raise ResourceCapError("sweep enumerates 2^n columns; need n <= 16")
     n, m = base.num_vars, base.num_clauses
-    cols = 1 << n
-    M = clause_sat_matrix(base, np.arange(cols, dtype=np.uint64)).astype(np.float32)
+    M = _pattern_sat_matrix(base)
     thr_count = threshold_count(p.threshold, p.k)
     best = Fraction(0)
     worst_trial = -1
@@ -573,16 +582,12 @@ def two_sided_sweep(
     for trial in range(trials):
         seed = derive_seed(derive_seed(p.seed, trial), 0x25ED)
         draws = rng_from(seed).integers(0, m, size=(n, p.k))
-        mult = np.zeros((n, m), dtype=np.float32)
-        for i in range(n):
-            np.add.at(mult[i], draws[i], 1.0)
-        counts = mult @ M
-        sat = counts >= float(thr_count)
+        sat = _set_counts(draws, M) >= float(thr_count)
         opt = Fraction(int(sat.sum(axis=0, dtype=np.int64).max()), n)
         if opt > best:
             best = opt
             worst_trial = trial
-        if opt >= half:
+        if opt > half:
             above_half += 1
         if opt == 1:
             at_one += 1
@@ -603,7 +608,7 @@ def one_sided_sweep(
     trials: int,
 ) -> SweepReport:
     """Exact brute-force optimum of the one-sided reduction's output for many
-    seeded trials, computed with one incidence matrix and per-trial gathers.
+    seeded trials, computed with per-trial set counts over one pattern matrix.
 
     Trial i reproduces reduce_one_sided with seed derive_seed(p.seed, i); the
     test suite cross-validates sampled trials against the object-level path.
@@ -613,9 +618,8 @@ def one_sided_sweep(
     m = base.num_clauses
     L_len = p.t * m
     _validate_family(fam, p, L_len)
-    cols = 1 << base.num_vars
-    M = clause_sat_matrix(base, np.arange(cols, dtype=np.uint64)).astype(np.float32)
-    A = fam.incidence().astype(np.float32)
+    M = _pattern_sat_matrix(base)
+    sets = np.asarray(fam.sets, dtype=np.int64)
     thr_count = threshold_count(p.threshold, fam.set_size)
     heavy_size = floor_frac(p.s * m)
     light_size = floor_frac(p.s * (1 + p.epsilon) * m)
@@ -631,18 +635,14 @@ def one_sided_sweep(
     for trial in range(trials):
         seed = derive_seed(derive_seed(p.seed, trial), 0x1157)
         entries = rng_from(seed).integers(0, m, size=L_len)
-        counts = np.bincount(entries, minlength=m)
-        counts_sorted = np.sort(counts)
-        heavy_sum = int(counts_sorted[m - heavy_size :].sum()) if heavy_size else 0
-        light_sum = int(counts_sorted[:light_size].sum()) if light_size else 0
+        _, _, heavy_sum, light_sum = _extremal_sums(
+            np.bincount(entries, minlength=m), heavy_size, light_size
+        )
         if not (Fraction(heavy_sum) <= heavy_bound and Fraction(light_sum) >= light_bound):
             opt = canonical_opt
         else:
             balanced_trials += 1
-            ind = np.zeros((L_len, m), dtype=np.float32)
-            ind[np.arange(L_len), entries] = 1.0
-            counts_mat = (A @ ind) @ M
-            sat = counts_mat >= float(thr_count)
+            sat = _set_counts(entries[sets], M) >= float(thr_count)
             opt = Fraction(int(sat.sum(axis=0, dtype=np.int64).max()), L_len)
         if opt > best:
             best = opt

@@ -9,22 +9,15 @@ check.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .csp import CspInstance
+from .csp import CspInstance, clause_values
 from .errors import ResourceCapError
-from .util import (
-    derive_seed,
-    floor_frac,
-    parallel_map,
-    threshold_count,
-    wilson_interval,
-)
+from .util import derive_seed, floor_frac, threshold_count, wilson_interval
 
 DEFAULT_ASSIGNMENT_CAP = 24
 LAYER_WIDTH_CAP = 22
@@ -33,16 +26,12 @@ _CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Exact optimum of an instance with a witness assignment.
-
-    wall_time is informational only and never serialized into reports.
-    """
+    """Exact optimum of an instance with a witness assignment."""
 
     optimum: Fraction
     argmax: tuple
     enumeration_size: int
     degenerate: bool
-    wall_time: float
 
     def to_doc(self) -> dict:
         return {
@@ -57,11 +46,7 @@ def clause_sat_matrix(inst: CspInstance, assignments: np.ndarray) -> np.ndarray:
     """Rows: clauses, columns: assignment integers (bit v = variable v)."""
     out = np.empty((inst.num_clauses, assignments.size), dtype=np.uint8)
     for row, clause in enumerate(inst.clauses):
-        idx = np.zeros(assignments.size, dtype=np.int64)
-        for v in clause.scope:
-            idx = (idx << 1) | ((assignments >> v) & 1).astype(np.int64)
-        table = np.array(clause.table_bits(), dtype=np.uint8)
-        out[row] = table[idx]
+        out[row] = clause_values(clause, assignments)
     return out
 
 
@@ -77,7 +62,6 @@ def brute_force_opt(inst: CspInstance, cap: int = DEFAULT_ASSIGNMENT_CAP) -> Ora
 
     Ties break toward the lowest assignment integer (variable 0 = LSB).
     """
-    start = time.perf_counter()
     if inst.num_vars > cap:
         raise ResourceCapError(
             f"{inst.num_vars} variables exceeds enumeration cap {cap}"
@@ -88,7 +72,6 @@ def brute_force_opt(inst: CspInstance, cap: int = DEFAULT_ASSIGNMENT_CAP) -> Ora
             argmax=tuple([0] * inst.num_vars),
             enumeration_size=0,
             degenerate=True,
-            wall_time=time.perf_counter() - start,
         )
     best_count = -1
     best_assignment = 0
@@ -107,7 +90,6 @@ def brute_force_opt(inst: CspInstance, cap: int = DEFAULT_ASSIGNMENT_CAP) -> Ora
         argmax=bits,
         enumeration_size=total,
         degenerate=False,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -264,23 +246,14 @@ def estimate(
     event: Callable[[int], bool],
     trials: int,
     master_seed: int,
-    jobs: int = 1,
 ) -> EstimateReport:
     """Empirical frequency of a seeded event with a 99% Wilson interval.
 
-    Trial i runs event(derive_seed(master_seed, i)); the success count is a
-    plain sum, so chunking across workers cannot change the result.
+    Trial i runs event(derive_seed(master_seed, i)).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    indices = list(range(trials))
-    chunk = max(1, trials // max(1, jobs * 4))
-    blocks = [indices[i : i + chunk] for i in range(0, trials, chunk)]
-
-    def run_block(block: list[int]) -> int:
-        return sum(1 for i in block if event(derive_seed(master_seed, i)))
-
-    successes = sum(parallel_map(run_block, blocks, jobs))
+    successes = sum(1 for i in range(trials) if event(derive_seed(master_seed, i)))
     low, high = wilson_interval(successes, trials)
     return EstimateReport(
         successes=successes,

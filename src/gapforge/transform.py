@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import GoodnessCertificate, RobustCircuit, circuit_digest, evaluate_layer
-from .csp import Clause, CspInstance, evaluate_clause
+from .csp import Clause, CspInstance, clause_values, evaluate_clause, table_from_bits
 from .errors import (
     GapforgeError,
     MissingCertificateError,
@@ -372,19 +372,14 @@ def export_checks_csp(
             raise ResourceCapError(
                 f"check {j} reads {w} positions; table would exceed cap {table_cap}"
             )
-        pos_to_col = {p: i for i, p in enumerate(chk.transcript)}
-        patterns = np.arange(1 << w, dtype=np.uint64)
+        patterns = np.arange(1 << w, dtype=np.int64)
         # pattern bit for transcript column i sits at weight w-1-i (scope order)
-        def bit_of(position: int) -> np.ndarray:
-            col = pos_to_col[position]
-            return ((patterns >> np.uint64(w - 1 - col)) & np.uint64(1)).astype(np.int64)
+        shift = {p: w - 1 - i for i, p in enumerate(chk.transcript)}
 
-        clause = ts.base.clauses[j]
-        idx = np.zeros(patterns.size, dtype=np.int64)
-        for v in clause.scope:
-            idx = (idx << 1) | bit_of(v)
-        table = np.array(clause.table_bits(), dtype=np.uint8)
-        clause_val = table[idx].astype(np.int64)
+        def bit_of(position: int) -> np.ndarray:
+            return (patterns >> shift[position]) & 1
+
+        clause_val = clause_values(ts.base.clauses[j], patterns, shift)
         l0_pos = ts.layer_offset(0) + j
         ok = clause_val == bit_of(l0_pos)
         for i, g in chk.gate_refs:
@@ -398,33 +393,6 @@ def export_checks_csp(
             ok &= recomputed == claimed
         top_pos = ts.layer_offset(ts.circuit.depth) + (j % ts.layer_widths()[-1])
         ok &= bit_of(top_pos) == 1
-        table_int = 0
-        for row in np.flatnonzero(ok):
-            table_int |= 1 << int(row)
-        clauses.append(Clause(scope=chk.transcript, table=table_int))
+        clauses.append(Clause(scope=chk.transcript, table=table_from_bits(ok)))
     return CspInstance(num_vars=ts.proof_length, clauses=tuple(clauses))
 
-
-def soundness_summary(
-    ts: TransformedSystem,
-    cap: int = DEFAULT_ADVERSARY_CAP,
-    greedy_restarts: int = 8,
-    seed: int = 0,
-) -> dict:
-    """Exhaustive max when the proof fits the cap, otherwise a clearly labeled
-    greedy lower bound next to the certificate-implied analytical target."""
-    scheme = ts.circuit.scheme
-    analytical = None if scheme is None else f"{scheme.new_soundness.numerator}/{scheme.new_soundness.denominator}"
-    if ts.proof_length <= cap:
-        rep = exhaustive_adversary(ts, cap)
-        return {
-            "mode": "exhaustive",
-            "max_acceptance": f"{rep.value.numerator}/{rep.value.denominator}",
-            "analytical_bound": analytical,
-        }
-    val, _ = greedy_adversary(ts, restarts=greedy_restarts, seed=seed)
-    return {
-        "mode": "greedy-lower-bound",
-        "greedy_acceptance": f"{val.numerator}/{val.denominator}",
-        "analytical_bound": analytical,
-    }

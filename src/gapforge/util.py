@@ -1,17 +1,12 @@
-"""Small shared helpers: seeding, exact means, Wilson intervals, worker pools."""
+"""Small shared helpers: seeding, exact rounding, Wilson intervals."""
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 # z quantile for a two-sided 99% Wilson score interval (Phi^-1(0.995))
 Z99 = 2.5758293035489004
@@ -22,7 +17,8 @@ MASK64 = (1 << 64) - 1
 def derive_seed(master: int, *indices: int) -> int:
     """Stable 64-bit child seed from a master seed and an index path.
 
-    Hash-based so that parallel and serial trial orders see identical streams.
+    Hash-based, so a trial's stream depends only on its index path and never
+    on which trials ran before it.
     """
     h = hashlib.sha256()
     h.update(int(master & MASK64).to_bytes(8, "little"))
@@ -33,11 +29,6 @@ def derive_seed(master: int, *indices: int) -> int:
 
 def rng_from(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed & MASK64)
-
-
-def bit_mean(bits: Sequence[int]) -> Fraction:
-    """Exact average of a 0/1 vector. Empty vectors are the caller's problem."""
-    return Fraction(int(sum(bits)), len(bits))
 
 
 def ceil_frac(x: Fraction) -> int:
@@ -63,18 +54,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float,
     center = (p + z2 / (2 * trials)) / denom
     half = (z / denom) * sqrt(p * (1.0 - p) / trials + z2 / (4 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int = 1) -> list[R]:
-    """Map preserving order; jobs > 1 fans out on threads.
-
-    Results are collected by index so worker count never changes the output.
-    """
-    seq = list(items)
-    if jobs <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seq))
 
 
 def frac_str(x: Fraction) -> str:

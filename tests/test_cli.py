@@ -133,15 +133,14 @@ class TestGapReduceCommand:
 
 
 class TestDeterminism:
-    def test_reports_byte_identical_across_jobs(self, toy_cnf, tmp_path):
+    def test_transform_outputs_byte_identical_across_reruns(self, toy_cnf, tmp_path):
         outs = []
-        for jobs in ("1", "4"):
-            report = tmp_path / f"t{jobs}.json"
-            circ = tmp_path / f"c{jobs}.rcirc"
+        for i in range(2):
+            report = tmp_path / f"t{i}.json"
+            circ = tmp_path / f"c{i}.rcirc"
             code = run([
                 "transform", "--input", toy_cnf, "--certify", "--seed", "7",
-                "--jobs", jobs, "--out-circuit", str(circ),
-                "--report", str(report),
+                "--out-circuit", str(circ), "--report", str(report),
             ])
             assert code == 0
             outs.append((report.read_bytes(), circ.read_bytes()))
@@ -154,11 +153,11 @@ class TestDeterminism:
             "--out-circuit", str(circ), "--report", str(tmp_path / "_.json"),
         ])
         blobs = []
-        for jobs in ("1", "3"):
-            report = tmp_path / f"cert{jobs}.json"
+        for i in range(2):
+            report = tmp_path / f"cert{i}.json"
             assert run([
                 "certify", "--circuit", str(circ), "--seed", "7",
-                "--jobs", jobs, "--report", str(report),
+                "--report", str(report),
             ]) == 0
             blobs.append(report.read_bytes())
         assert blobs[0] == blobs[1]

@@ -3,11 +3,13 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapforge.csp import (
     Clause,
     CspInstance,
+    clause_values,
     csp_to_3sat,
     disjunction,
     evaluate_clause,
@@ -16,6 +18,7 @@ from gapforge.csp import (
     parse_instance,
     satisfied_fraction,
     serialize,
+    table_from_bits,
 )
 from gapforge.errors import MalformedInstanceError, ParseError, ResourceCapError
 from gapforge.oracle import brute_force_opt
@@ -47,6 +50,28 @@ class TestClauseEvaluation:
         c = Clause((0, 1, 2), table)
         assert evaluate_clause(c, (0, 1, 1)) == 1
         assert evaluate_clause(c, (1, 1, 0)) == 0
+
+    def test_vectorized_values_match_scalar_reference(self):
+        rng = rng_from(4)
+        words = np.arange(1 << 5, dtype=np.uint64)
+        for _ in range(20):
+            arity = int(rng.integers(0, 5))
+            scope = tuple(int(v) for v in rng.choice(5, arity, replace=False))
+            c = Clause(scope, int(rng.integers(0, 1 << (1 << arity))))
+            want = [
+                evaluate_clause(c, [(a >> v) & 1 for v in range(5)]) for a in range(32)
+            ]
+            assert clause_values(c, words).tolist() == want
+            # variable v read from bit 4 - v instead: the same values at the
+            # bit-reversed words
+            reversed_words = [int(format(a, "05b")[::-1], 2) for a in range(32)]
+            flipped = clause_values(c, words, {v: 4 - v for v in range(5)})
+            assert flipped[reversed_words].tolist() == want
+
+    def test_table_from_bits_inverts_table_bits(self):
+        for arity, table in ((0, 0), (0, 1), (2, 0b1000), (4, 0xBEEF), (8, (1 << 256) - 3)):
+            c = Clause(tuple(range(arity)), table)
+            assert table_from_bits(np.array(c.table_bits(), dtype=bool)) == table
 
     def test_out_of_range_variable(self):
         c = disjunction([(5, True)])

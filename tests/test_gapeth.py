@@ -10,7 +10,9 @@ import pytest
 from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
 from gapforge.errors import GapforgeError, ShapeMismatchError
 from gapforge.gapeth import (
+    DEFAULT_TABLE_CAP,
     ReductionParams,
+    _threshold_clause,
     canonical_no_instance,
     check_balanced,
     exact_repeat_list,
@@ -24,7 +26,7 @@ from gapforge.gapeth import (
     two_sided_sweep,
 )
 from gapforge.oracle import brute_force_opt, is_satisfiable
-from gapforge.util import derive_seed
+from gapforge.util import derive_seed, threshold_count
 
 from conftest import random_3sat, unit_pair_instance
 
@@ -147,23 +149,28 @@ class TestTwoSided:
         assert freqs[48] < freqs[8]
 
     def test_sweep_matches_object_path(self):
-        base = unit_pair_instance(8, 24, (0, 2))
-        p = ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=12, t=1, seed=5)
-        sweep = two_sided_sweep(base, p, trials=3)
-        for trial in range(3):
-            pt = replace(p, seed=derive_seed(p.seed, trial))
-            inst, _ = reduce_two_sided(base, pt)
-            opt = brute_force_opt(inst).optimum
-            assert (opt >= Fraction(1, 2)) == (trial < sweep.optima_above_half or True)
-            # exact per-trial comparison
-        # max over the sweep equals max over the object path
-        object_max = max(
-            brute_force_opt(
-                reduce_two_sided(base, replace(p, seed=derive_seed(p.seed, t)))[0]
-            ).optimum
-            for t in range(3)
-        )
-        assert sweep.max_optimum == object_max
+        cases = [
+            # optima exactly 1/2 on some trials, above 1/2 on others
+            (unit_pair_instance(8, 24, (0, 2)), 12),
+            # every trial fully satisfiable
+            (CspInstance(3, tuple(disjunction([(0, True)]) for _ in range(8))), 8),
+        ]
+        trials = 8
+        for base, k in cases:
+            p = ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=k, t=1, seed=5)
+            sweep = two_sided_sweep(base, p, trials=trials)
+            opts = [
+                brute_force_opt(
+                    reduce_two_sided(base, replace(p, seed=derive_seed(p.seed, t)))[0]
+                ).optimum
+                for t in range(trials)
+            ]
+            best = max(opts)
+            assert sweep.trials == sweep.balanced_trials == trials
+            assert sweep.max_optimum == best
+            assert sweep.optima_above_half == sum(o > Fraction(1, 2) for o in opts)
+            assert sweep.optima_at_one == sum(o == 1 for o in opts)
+            assert sweep.worst_trial == (opts.index(best) if best > 0 else -1)
 
 
 class TestOneSided:
@@ -220,6 +227,37 @@ class TestOneSided:
                 continue
             opt = brute_force_opt(list_instance(base, lst)).optimum
             assert opt >= red_params.s * (1 + 2 * red_params.epsilon / 3)
+
+    @pytest.mark.parametrize("which", ["random-3sat", "unit-pair", "units"])
+    def test_clauses_match_threshold_reference(self, which, red_params, red_family, no_bases):
+        # random 3SAT sets cover every variable; the unit-pair NO base and the
+        # satisfiable units on three variables leave the other five out. The
+        # NO base yields constant tables only, so the units base checks the
+        # row order of partial-scope tables.
+        base = {
+            "random-3sat": random_3sat(8, 48, 0),
+            "unit-pair": no_bases[1][0],
+            "units": CspInstance(
+                8, tuple(disjunction([((0, 3, 5)[i % 3], True)]) for i in range(48))
+            ),
+        }[which]
+        for offset in range(50):
+            pt = replace(red_params, seed=derive_seed(0xC1A, offset))
+            lst = sample_list(base, pt)
+            if check_balanced(lst, pt).balanced:
+                break
+        else:
+            pytest.fail("no balanced draw in the walk")
+        inst, rep = reduce_one_sided(base, pt, red_family)
+        assert not rep.rejected_unbalanced
+        thr = threshold_count(pt.threshold, red_family.set_size)
+        full = sum(c.arity == base.num_vars for c in inst.clauses)
+        assert full == (len(inst.clauses) if which == "random-3sat" else 0)
+        live = sum(0 < c.table < (1 << c.num_rows) - 1 for c in inst.clauses)
+        assert (live > 0) == (which != "unit-pair")
+        for clause, s in zip(inst.clauses, red_family.sets):
+            sampled = [lst.entries[pos] for pos in s]
+            assert clause == _threshold_clause(base, sampled, thr, DEFAULT_TABLE_CAP)
 
     def test_sweep_cross_validates_object_path(self, red_params, red_family, no_bases):
         base = no_bases[1][0]

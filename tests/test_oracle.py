@@ -17,7 +17,7 @@ from gapforge.oracle import (
     is_satisfiable,
     lll_condition,
 )
-from gapforge.util import rng_from
+from gapforge.util import derive_seed, rng_from
 
 from conftest import random_3sat, unit_pair_instance
 from test_csp import all_sign_patterns
@@ -151,8 +151,8 @@ class TestEstimate:
         rep = estimate(lambda seed: rng_from(seed).integers(0, 2) == 1, 10_000, 5)
         assert rep.wilson_low <= 0.5 <= rep.wilson_high
 
-    def test_jobs_do_not_change_result(self):
+    def test_rerun_gives_identical_result(self):
         event = lambda seed: rng_from(seed).random() < 0.3
-        a = estimate(event, 500, 9, jobs=1)
-        b = estimate(event, 500, 9, jobs=4)
-        assert a == b
+        a = estimate(event, 500, 9)
+        assert a == estimate(event, 500, 9)
+        assert a.successes == sum(event(derive_seed(9, i)) for i in range(500))

@@ -159,6 +159,17 @@ class TestFamilies:
         d = intersection_degree(fam)
         assert d <= fam.set_size**2
 
+    def test_intersection_degree_matches_pairwise_count(self):
+        # 600 sets span three row blocks of the overlap computation
+        rng = np.random.default_rng(5)
+        sets = [tuple(sorted(rng.choice(900, 3, replace=False).tolist())) for _ in range(600)]
+        fam = family_from_sets(900, sets, PARAMS)
+        expected = max(
+            sum(1 for j, t in enumerate(sets) if j != i and set(s) & set(t))
+            for i, s in enumerate(sets)
+        )
+        assert intersection_degree(fam) == expected
+
     def test_family_invariants_enforced(self):
         with pytest.raises(GapforgeError):
             family_from_sets(4, [(0, 1), (1, 1)], PARAMS)
@@ -191,12 +202,10 @@ class TestCertification:
         rep = certify_sampler(fam, adversarial_corpus(fam, seed=1))
         assert rep.passed
 
-    def test_jobs_invariance(self):
+    def test_rerun_gives_identical_report(self):
         fam = build_sampler_family(PARAMS, 64, seed=6)
         corpus = adversarial_corpus(fam, seed=2)
-        assert certify_sampler(fam, corpus, jobs=1) == certify_sampler(
-            fam, corpus, jobs=4
-        )
+        assert certify_sampler(fam, corpus) == certify_sampler(fam, corpus)
 
     def test_length_mismatch(self):
         fam = build_sampler_family(PARAMS, 32, seed=2)
