@@ -20,7 +20,6 @@ from .circuit import (
     DEFAULT_SCHEME,
     GoodnessCertificate,
     RobustCircuit,
-    ThresholdGate,
     ThresholdScheme,
     auto_fan_in,
     build_deterministic,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 from .csp import GapSpec
 from .errors import GapforgeError, InfeasibleParametersError, ParseError
 from .oracle import estimate
-from .sampler import SamplerParams, build_expander, second_eigenvalue
+from .sampler import SamplerParams, build_expander, second_eigenvalue, swap_climb
 from .util import (
     derive_seed,
     floor_frac,
@@ -92,24 +92,6 @@ DEFAULT_SCHEME = ThresholdScheme()
 
 
 @dataclass(frozen=True)
-class ThresholdGate:
-    """Fires iff the mean of its (multiset) inputs is at least theta."""
-
-    inputs: tuple[int, ...]
-    theta: Fraction
-
-    def __post_init__(self):
-        if not self.inputs:
-            raise GapforgeError("gate with no inputs")
-        if not (0 < self.theta < 1):
-            raise GapforgeError("theta must lie in (0, 1)")
-
-    @property
-    def fire_count(self) -> int:
-        return threshold_count(self.theta, len(self.inputs))
-
-
-@dataclass(frozen=True)
 class LayerWiring:
     kind: str  # "sampler" | "full" | "random" | "parsed"
     degree: int | None = None
@@ -118,18 +100,39 @@ class LayerWiring:
 
 @dataclass
 class RobustCircuit:
-    """Immutable after construction; treat all fields as read-only."""
+    """Immutable after construction; treat all fields as read-only.
+
+    layers[i - 1] wires layer i: a read-only (gates, fan_in) int64 array whose
+    row g holds gate g's sorted input positions in layer i - 1, multiset
+    repeats kept. Every gate fires when the mean of its inputs is at least
+    the circuit's theta; nothing else sets a threshold.
+    """
 
     m: int
     depth: int
     theta: Fraction
     variant: str  # "deterministic" | "randomized"
-    layers: tuple[tuple[ThresholdGate, ...], ...]
+    layers: tuple[np.ndarray, ...]
     scheme: ThresholdScheme | None = None
     fan_in: int | None = None
     seed: int | None = None
     layer_meta: tuple[LayerWiring, ...] = ()
-    _eval_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (0 < self.theta < 1):
+            raise GapforgeError("theta must lie in (0, 1)")
+        arrays = []
+        for rows in self.layers:
+            try:
+                idx = np.asarray(rows, dtype=np.int64)
+            except ValueError:
+                raise GapforgeError("gates in one layer differ in fan-in") from None
+            if idx.ndim != 2 or idx.shape[1] == 0:
+                raise GapforgeError("a layer needs gates with at least one input")
+            idx = np.sort(idx, axis=1)  # a copy, so freezing it is safe
+            idx.setflags(write=False)
+            arrays.append(idx)
+        self.layers = tuple(arrays)
 
     def __eq__(self, other):
         if not isinstance(other, RobustCircuit):
@@ -139,7 +142,8 @@ class RobustCircuit:
             and self.depth == other.depth
             and self.theta == other.theta
             and self.variant == other.variant
-            and self.layers == other.layers
+            and len(self.layers) == len(other.layers)
+            and all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
         )
 
     def widths(self) -> list[int]:
@@ -153,14 +157,9 @@ class RobustCircuit:
     def total_gates(self) -> int:
         return sum(self.widths())
 
-    def layer_arrays(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """(gate x fan-in index matrix, fire-count vector) for one layer."""
-        if layer not in self._eval_cache:
-            gates = self.layers[layer - 1]
-            idx = np.array([g.inputs for g in gates], dtype=np.int64)
-            thr = np.array([g.fire_count for g in gates], dtype=np.int64)
-            self._eval_cache[layer] = (idx, thr)
-        return self._eval_cache[layer]
+    def fire_count(self, layer: int) -> int:
+        """Ones a gate of this layer (1-based) needs to fire."""
+        return threshold_count(self.theta, self.layers[layer - 1].shape[1])
 
 
 def width_at(m: int, i: int) -> int:
@@ -227,10 +226,7 @@ def build_deterministic(
     for i in range(1, depth + 1):
         w_in, w_out = width_at(m, i - 1), width_at(m, i)
         if w_in <= degenerate_cutoff:
-            gates = tuple(
-                ThresholdGate(tuple(range(w_in)), scheme.theta)
-                for _ in range(w_out)
-            )
+            layers.append(np.tile(np.arange(w_in), (w_out, 1)))
             meta.append(LayerWiring(kind="full", degree=w_in))
         else:
             D = worst_case_degree(w_in, scheme)
@@ -241,12 +237,8 @@ def build_deterministic(
                     f"layer {i}: lambda {lam:.4f} above target "
                     f"{params.target_lambda} at width {w_in}"
                 )
-            gates = tuple(
-                ThresholdGate(tuple(sorted(graph.adjacency[j])), scheme.theta)
-                for j in range(w_out)
-            )
+            layers.append(graph.adjacency[:w_out])
             meta.append(LayerWiring(kind="sampler", degree=D, measured_lambda=lam))
-        layers.append(gates)
     return RobustCircuit(
         m=m,
         depth=depth,
@@ -277,12 +269,7 @@ def build_randomized(
     for i in range(1, depth + 1):
         w_in, w_out = width_at(m, i - 1), width_at(m, i)
         rng = rng_from(derive_seed(seed, i))
-        draws = rng.integers(0, w_in, size=(w_out, f))
-        gates = tuple(
-            ThresholdGate(tuple(sorted(int(x) for x in row)), scheme.theta)
-            for row in draws
-        )
-        layers.append(gates)
+        layers.append(rng.integers(0, w_in, size=(w_out, f)))
         meta.append(LayerWiring(kind="random"))
     return RobustCircuit(
         m=m,
@@ -303,8 +290,8 @@ def build_randomized(
 
 
 def evaluate_layer(c: RobustCircuit, layer: int, bits: np.ndarray) -> np.ndarray:
-    idx, thr = c.layer_arrays(layer)
-    return (bits[idx].sum(axis=1) >= thr).astype(np.uint8)
+    idx = c.layers[layer - 1]
+    return (bits[idx].sum(axis=1) >= c.fire_count(layer)).astype(np.uint8)
 
 
 def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
@@ -416,21 +403,20 @@ def circuit_digest(c: RobustCircuit) -> str:
     return hashlib.sha256(serialize_circuit(c).encode()).hexdigest()
 
 
-def _gate_multiplicity(gates: Sequence[ThresholdGate], w_in: int) -> np.ndarray:
-    mult = np.zeros((w_in, len(gates)), dtype=np.int16)
-    for gi, g in enumerate(gates):
-        for p in g.inputs:
-            mult[p, gi] += 1
-    return mult
+def _gate_multiplicity(idx: np.ndarray, w_in: int) -> np.ndarray:
+    """(w_in x gates) count of each position among each gate's inputs."""
+    gates = idx.shape[0]
+    keys = (idx * gates + np.arange(gates)[:, None]).ravel()
+    mult = np.bincount(keys, minlength=w_in * gates).reshape(w_in, gates)
+    return mult.astype(np.int16)
 
 
 def _worst_exhaustive(
-    gates: Sequence[ThresholdGate], w_in: int, in_cap: int
+    idx: np.ndarray, thr: int, w_in: int, in_cap: int
 ) -> tuple[int, int, int]:
     """(worst fired count, witness int, strings checked) over all strings with
     popcount <= in_cap; independent formulation from the oracle's sweep."""
-    mult = _gate_multiplicity(gates, w_in)
-    thr = np.array([g.fire_count for g in gates], dtype=np.int16)
+    mult = _gate_multiplicity(idx, w_in)
     worst, witness, checked = -1, 0, 0
     chunk = 1 << 18
     for lo in range(0, 1 << w_in, chunk):
@@ -452,43 +438,9 @@ def _worst_exhaustive(
     return worst, witness, checked
 
 
-def _greedy_worst(
-    mult: np.ndarray,
-    thr: np.ndarray,
-    start: np.ndarray,
-    seed: int,
-    rounds: int = 400,
-    candidates: int = 24,
-) -> tuple[int, np.ndarray]:
-    """Hill-climb one<->zero swaps at fixed popcount maximizing fired gates."""
-    rng = rng_from(seed)
-    vec = start.copy()
-    counts = vec @ mult
-    best = int((counts >= thr).sum())
-    for _ in range(rounds):
-        ones_pos = np.flatnonzero(vec == 1)
-        zero_pos = np.flatnonzero(vec == 0)
-        if not ones_pos.size or not zero_pos.size:
-            break
-        improved = False
-        for _ in range(candidates):
-            p = int(ones_pos[rng.integers(ones_pos.size)])
-            q = int(zero_pos[rng.integers(zero_pos.size)])
-            trial = counts - mult[p] + mult[q]
-            s = int((trial >= thr).sum())
-            if s > best:
-                vec[p], vec[q] = 0, 1
-                counts = trial
-                best = s
-                improved = True
-                break
-        if not improved:
-            break
-    return best, vec
-
-
 def _worst_statistical(
-    gates: Sequence[ThresholdGate],
+    idx: np.ndarray,
+    thr: int,
     w_in: int,
     in_cap: int,
     trials: int,
@@ -496,8 +448,7 @@ def _worst_statistical(
 ) -> tuple[int, int, int]:
     """(worst fired count, witness int, strings tested): seeded random strings
     at the extreme admissible popcount, clustered blocks, and greedy search."""
-    mult = _gate_multiplicity(gates, w_in)
-    thr = np.array([g.fire_count for g in gates], dtype=np.int16)
+    mult = _gate_multiplicity(idx, w_in)
     rng = rng_from(seed)
     strings: list[np.ndarray] = []
     for _ in range(max(1, trials - 4)):
@@ -513,7 +464,9 @@ def _worst_statistical(
         fired = int(((vec @ mult) >= thr).sum())
         if fired > worst:
             worst, witness_vec = fired, vec
-    g_best, g_vec = _greedy_worst(mult, thr, witness_vec, derive_seed(seed, 0xA77))
+    g_best, g_vec = swap_climb(
+        mult, thr, witness_vec, below=False, seed=derive_seed(seed, 0xA77), rounds=400
+    )
     if g_best > worst:
         worst, witness_vec = g_best, g_vec
     witness = sum(int(b) << i for i, b in enumerate(witness_vec))
@@ -534,16 +487,17 @@ def certify_goodness(
     mo = mean_out if mean_out is not None else scheme.mean_out
     verdicts = []
     for layer in range(1, c.depth + 1):
-        gates = c.layers[layer - 1]
+        idx, thr = c.layers[layer - 1], c.fire_count(layer)
+        gates = idx.shape[0]
         w_in = c.width_in(layer)
         in_cap = floor_frac(mi * w_in)
-        out_cap = floor_frac(mo * len(gates))
+        out_cap = floor_frac(mo * gates)
         if w_in <= exhaustive_cap:
-            worst, witness, checked = _worst_exhaustive(gates, w_in, in_cap)
+            worst, witness, checked = _worst_exhaustive(idx, thr, w_in, in_cap)
             mode = "exhaustive"
         else:
             worst, witness, checked = _worst_statistical(
-                gates, w_in, in_cap, trials, derive_seed(seed, layer)
+                idx, thr, w_in, in_cap, trials, derive_seed(seed, layer)
             )
             mode = "statistical"
         passed = worst <= out_cap
@@ -551,12 +505,12 @@ def certify_goodness(
             LayerVerdict(
                 layer=layer,
                 width_in=w_in,
-                width_out=len(gates),
+                width_out=gates,
                 mode=mode,
                 passed=passed,
                 strings_checked=checked,
                 worst_output_count=worst,
-                worst_output_mean=Fraction(worst, len(gates)),
+                worst_output_mean=Fraction(worst, gates),
                 witness=None if passed else format(witness, "x"),
             )
         )
@@ -648,9 +602,8 @@ def serialize_circuit(c: RobustCircuit) -> str:
         f"{c.theta.numerator}/{c.theta.denominator}"
     )
     lines = [header]
-    for layer in c.layers:
-        for g in layer:
-            lines.append(" ".join(map(str, g.inputs)))
+    for idx in c.layers:
+        lines.extend(" ".join(map(str, row)) for row in idx.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -675,23 +628,29 @@ def parse_circuit(text: str) -> RobustCircuit:
     cursor = 1
     for layer_idx, w in enumerate(widths, start=1):
         w_in = width_at(m, layer_idx - 1)
-        gates = []
+        rows = []
         for _ in range(w):
             try:
-                inputs = tuple(int(t) for t in lines[cursor].split())
+                inputs = [int(t) for t in lines[cursor].split()]
             except ValueError:
                 raise ParseError("bad gate line", cursor + 1) from None
             if any(not (0 <= p < w_in) for p in inputs):
                 raise ParseError(
                     f"gate input outside previous layer of width {w_in}", cursor + 1
                 )
-            gates.append(ThresholdGate(inputs, theta))
+            if rows and len(inputs) != len(rows[0]):
+                raise ParseError(
+                    f"gate fan-in {len(inputs)} differs from its layer's "
+                    f"{len(rows[0])}",
+                    cursor + 1,
+                )
+            rows.append(inputs)
             cursor += 1
-        layers.append(tuple(gates))
+        layers.append(rows)
     variant = toks[3]
     fan_in = None
     if variant == "randomized" and layers:
-        sizes = {len(g.inputs) for layer in layers for g in layer}
+        sizes = {len(rows[0]) for rows in layers}
         if len(sizes) == 1:
             fan_in = sizes.pop()
     scheme = DEFAULT_SCHEME if theta == DEFAULT_SCHEME.theta else None

@@ -1,4 +1,4 @@
-"""Command-line pipeline: transform, certify, oracle, gap-reduce, bench.
+"""Command-line pipeline: transform, certify, oracle, gap-reduce.
 
 Every command is deterministic given its inputs and seed: reports embed the
 seed and effective parameters, carry a schema version, and never include
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,11 +21,9 @@ from . import circuit as circuit_mod
 from . import csp, gapeth, oracle, sampler
 from .errors import GapforgeError, ParseError, ResourceCapError
 from .transform import (
-    acceptance_probability,
     export_checks_csp,
     exhaustive_adversary,
     greedy_adversary,
-    honest_proof,
     transform,
 )
 
@@ -70,13 +67,13 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
         epsilon=scheme.slack, delta=scheme.soundness, gamma=scheme.theta
     )
     for layer in range(1, c.depth + 1):
-        gates = c.layers[layer - 1]
-        if any(len(set(g.inputs)) != len(g.inputs) for g in gates):
+        sets = tuple(map(tuple, c.layers[layer - 1].tolist()))
+        if any(len(set(s)) != len(s) for s in sets):
             docs.append({"layer": layer, "skipped": "multiset wiring"})
             continue
         fam = sampler.SamplerFamily(
             ground_size=c.width_in(layer),
-            sets=tuple(g.inputs for g in gates),
+            sets=sets,
             params=params,
             provenance=sampler.PROVENANCE_EXPLICIT,
             measured_lambda=(
@@ -272,43 +269,6 @@ def cmd_gap_reduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    seed = _seed(args)
-    timings = {}
-    t0 = time.perf_counter()
-    circ = circuit_mod.build_deterministic(32, seed=seed)
-    timings["build_deterministic_m32"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    cert = circuit_mod.certify_goodness(circ, seed=seed)
-    timings["certify_m32"] = time.perf_counter() - t0
-    base = csp.CspInstance(
-        4,
-        tuple(
-            csp.disjunction([(v, True) for v in (0, 1, 2)])
-            for _ in range(32)
-        ),
-    )
-    t0 = time.perf_counter()
-    ts = transform(base, circ, certificate=cert)
-    proof = honest_proof(ts, (1, 1, 1, 1))
-    value = acceptance_probability(ts, proof)
-    timings["transform_and_accept"] = time.perf_counter() - t0
-    for name, dt in timings.items():
-        print(f"{name}: {dt:.3f}s", file=sys.stderr)
-    doc = {
-        "schema": SCHEMA,
-        "command": "bench",
-        "seed": seed,
-        "pipeline": {
-            "m": 32,
-            "certificate_passed": cert.passed,
-            "honest_acceptance": f"{value.numerator}/{value.denominator}",
-        },
-    }
-    _emit(doc, args.report)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="gapforge", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -362,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dry-run", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_gap_reduce)
-
-    p = sub.add_parser("bench", help="time a small fixed pipeline (timings to stderr)")
-    common(p)
-    p.set_defaults(fn=cmd_bench)
     return top
 
 

@@ -371,10 +371,6 @@ class ConversionReport:
             return Fraction(1)
         return Fraction(self.output_clauses, self.input_clauses)
 
-    def output_soundness(self, input_soundness: Fraction) -> Fraction:
-        """Optimum bound for outputs of inputs with optimum <= input_soundness."""
-        return 1 - (1 - input_soundness) / self.expansion_ratio
-
 
 def _pad_to_width3(
     lits: list[tuple[int, bool]], fresh: list[int]

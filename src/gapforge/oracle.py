@@ -134,7 +134,8 @@ class LayerCheckReport:
 
 
 def exhaustive_layer_check(
-    gates: Sequence,
+    rows: Sequence[Sequence[int]],
+    theta: Fraction,
     width: int,
     mean_in: Fraction,
     mean_out: Fraction,
@@ -143,16 +144,16 @@ def exhaustive_layer_check(
     """Sweep every width-bit string with mean <= mean_in through one layer of
     threshold gates and confirm the output mean never exceeds mean_out.
 
-    Gates are anything with an `inputs` index sequence (multiset entries
-    repeated) and a `theta` Fraction. The sweep extracts bits straight from
-    assignment integers, deliberately not sharing code with the circuit
-    module's own enumerator so the two can cross-validate.
+    Row g lists gate g's input positions (multiset entries repeated); a gate
+    fires when the mean of its inputs is at least theta. The sweep extracts
+    bits straight from assignment integers, deliberately not sharing code
+    with the circuit module's own enumerator so the two can cross-validate.
     """
     if width > cap:
         raise ResourceCapError(f"layer width {width} exceeds cap {cap}")
     in_cap = floor_frac(mean_in * width)
-    out_cap = floor_frac(mean_out * len(gates))
-    thresholds = [threshold_count(g.theta, len(g.inputs)) for g in gates]
+    out_cap = floor_frac(mean_out * len(rows))
+    thresholds = [threshold_count(theta, len(row)) for row in rows]
     worst_count = -1
     worst_string = None
     checked = 0
@@ -166,9 +167,9 @@ def exhaustive_layer_check(
         sel = block[mask]
         checked += sel.size
         fired = np.zeros(sel.size, dtype=np.int16)
-        for g, thr in zip(gates, thresholds):
+        for row, thr in zip(rows, thresholds):
             ones = np.zeros(sel.size, dtype=np.int16)
-            for p in g.inputs:
+            for p in row:
                 ones += ((sel >> np.uint64(p)) & np.uint64(1)).astype(np.int16)
             fired += ones >= thr
         j = int(np.argmax(fired))
@@ -182,10 +183,10 @@ def exhaustive_layer_check(
     return LayerCheckReport(
         passed=passed,
         width=width,
-        num_gates=len(gates),
+        num_gates=len(rows),
         strings_checked=checked,
         worst_output_count=worst_count,
-        worst_output_mean=Fraction(worst_count, len(gates)),
+        worst_output_mean=Fraction(worst_count, len(rows)),
         witness=None if passed else witness_bits,
     )
 

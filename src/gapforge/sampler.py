@@ -28,7 +28,7 @@ from .errors import (
     IterationCapError,
     ParseError,
 )
-from .util import derive_seed, frac_str, parse_frac, rng_from
+from .util import derive_seed, frac_str, parse_frac, rng_from, threshold_count
 
 DEFAULT_DEGREE_SCHEDULE = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 _POWER_ITER_CAP = 5000
@@ -48,14 +48,21 @@ class RegularGraph:
         for row in self.adjacency:
             if len(row) != self.degree:
                 raise GapforgeError("vertex without exactly D neighbor entries")
-        # symmetry of the edge multiset
-        counts: dict[tuple[int, int], int] = {}
-        for u, row in enumerate(self.adjacency):
-            for v in row:
-                counts[(u, v)] = counts.get((u, v), 0) + 1
-        for (u, v), c in counts.items():
-            if counts.get((v, u), 0) != c:
-                raise GapforgeError(f"edge multiset not symmetric at ({u},{v})")
+        # symmetry of the edge multiset: the sorted keys u*N+v of all entries
+        # equal the sorted keys v*N+u of their reverses
+        N = self.num_vertices
+        v = np.array(self.adjacency, dtype=np.int64).reshape(-1)
+        u = np.repeat(np.arange(N, dtype=np.int64), self.degree)
+        if v.size and (v.min() < 0 or v.max() >= N):
+            raise GapforgeError("neighbor entry outside the vertex set")
+        fwd, rev = np.sort(u * N + v), np.sort(v * N + u)
+        bad = np.flatnonzero(fwd != rev)
+        if bad.size:
+            # the smaller key at the first difference has unequal counts
+            key = int(min(fwd[bad[0]], rev[bad[0]]))
+            raise GapforgeError(
+                f"edge multiset not symmetric at ({key // N},{key % N})"
+            )
 
     def neighbor_matrix(self) -> np.ndarray:
         return np.array(self.adjacency, dtype=np.int64)
@@ -596,48 +603,49 @@ def certify_sampler(
     )
 
 
-def _local_search_string(
-    fam: SamplerFamily,
+def swap_climb(
+    by_pos: np.ndarray,
+    thresholds: np.ndarray | int,
     start: np.ndarray,
-    score_threshold_ones: int,
     below: bool,
     seed: int,
-    rounds: int = 300,
+    rounds: int,
     candidates: int = 24,
-) -> np.ndarray:
-    """Hill-climb zero/one swaps at fixed popcount to maximize the number of
-    sets whose one-count is below (or deviates from) a threshold."""
+) -> tuple[int, np.ndarray]:
+    """Hill-climb one<->zero swaps at fixed popcount to maximize the number of
+    rows whose count of ones is below (or at or above) its threshold.
+
+    by_pos is a positions x rows count matrix (how often each position feeds
+    each row); thresholds is one count per row, or one for all rows. Each
+    round tries up to `candidates` seeded (one, zero) pairs and keeps the
+    first swap that raises the score; a round without one ends the climb.
+    Returns (best score, string).
+    """
     rng = rng_from(seed)
-    inc = fam.incidence().astype(np.int64)
     vec = start.copy()
-    ones_per_set = inc @ vec
+    counts = vec @ by_pos
 
-    def score(counts: np.ndarray) -> int:
-        if below:
-            return int((counts < score_threshold_ones).sum())
-        return int((counts >= score_threshold_ones).sum())
+    def score(c: np.ndarray) -> int:
+        return int(((c < thresholds) if below else (c >= thresholds)).sum())
 
-    best = score(ones_per_set)
+    best = score(counts)
     for _ in range(rounds):
         ones_pos = np.flatnonzero(vec == 1)
         zero_pos = np.flatnonzero(vec == 0)
-        if ones_pos.size == 0 or zero_pos.size == 0:
+        if not ones_pos.size or not zero_pos.size:
             break
-        improved = False
         for _ in range(candidates):
             p = int(ones_pos[rng.integers(ones_pos.size)])
             q = int(zero_pos[rng.integers(zero_pos.size)])
-            delta_counts = ones_per_set - inc[:, p] + inc[:, q]
-            s = score(delta_counts)
+            trial = counts - by_pos[p] + by_pos[q]
+            s = score(trial)
             if s > best:
                 vec[p], vec[q] = 0, 1
-                ones_per_set = delta_counts
-                best = s
-                improved = True
+                counts, best = trial, s
                 break
-        if not improved:
+        else:
             break
-    return vec
+    return best, vec
 
 
 def adversarial_corpus(
@@ -676,20 +684,19 @@ def adversarial_corpus(
     # worst-case search for property 1 around the deviation boundary
     C = fam.set_size
     if C:
+        by_pos = np.ascontiguousarray(fam.incidence().T, dtype=np.int64)
         half = at_popcount(N // 2)
-        from .util import threshold_count
-
         dev_thr = threshold_count(Fraction(1, 2) + fam.params.epsilon, C)
-        found = _local_search_string(
-            fam, half, dev_thr, below=False, seed=derive_seed(seed, 1)
+        _, found = swap_climb(
+            by_pos, dev_thr, half, below=False, seed=derive_seed(seed, 1), rounds=300
         )
         corpus.append(("search-deviation", tuple(found.tolist())))
         z = max(1, int(eta_cut * Fraction(4, 5) * N))
         start = np.ones(N, dtype=np.int64)
         start[rng.permutation(N)[:z]] = 0
         low_thr = threshold_count(gamma, C)
-        found2 = _local_search_string(
-            fam, start, low_thr, below=True, seed=derive_seed(seed, 2)
+        _, found2 = swap_climb(
+            by_pos, low_thr, start, below=True, seed=derive_seed(seed, 2), rounds=300
         )
         corpus.append(("search-low-sample", tuple(found2.tolist())))
     return corpus

@@ -38,10 +38,6 @@ class ProofString:
     x: tuple
     layers: tuple
 
-    @property
-    def total_bits(self) -> int:
-        return len(self.x) + sum(len(l) for l in self.layers)
-
     def to_bits(self) -> tuple:
         out = list(self.x)
         for l in self.layers:
@@ -110,9 +106,9 @@ class TransformedSystem:
         positions = set(self.base.clauses[j].scope)
         positions.add(self.layer_offset(0) + j % widths[0])
         for i, g in refs:
-            gate = self.circuit.layers[i - 1][g]
             off_prev = self.layer_offset(i - 1)
-            positions.update(off_prev + p for p in gate.inputs)
+            inputs = self.circuit.layers[i - 1][g].tolist()
+            positions.update(off_prev + p for p in inputs)
             positions.add(self.layer_offset(i) + g)
         return VerifierCheck(index=j, gate_refs=refs, transcript=tuple(sorted(positions)))
 
@@ -152,7 +148,7 @@ def transform(
     )
     m = base.num_clauses
     d = circuit.depth
-    fan_ins = [max(len(g.inputs) for g in layer) for layer in circuit.layers]
+    fan_ins = [idx.shape[1] for idx in circuit.layers]
     bound_extra = sum(fan_ins) + d + 1
     queries = []
     for j in range(m):
@@ -211,9 +207,8 @@ def run_check(ts: TransformedSystem, j: int, proof: ProofString) -> CheckResult:
     if evaluate_clause(ts.base.clauses[j], proof.x) != proof.layers[0][j]:
         failed = "clause-vs-layer0"
     for i, g in chk.gate_refs:
-        gate = ts.circuit.layers[i - 1][g]
-        ones = sum(proof.layers[i - 1][p] for p in gate.inputs)
-        recomputed = 1 if ones >= gate.fire_count else 0
+        ones = sum(proof.layers[i - 1][p] for p in ts.circuit.layers[i - 1][g].tolist())
+        recomputed = 1 if ones >= ts.circuit.fire_count(i) else 0
         if recomputed != proof.layers[i][g] and failed is None:
             failed = f"gate-layer{i}"
     top_g = j % len(proof.layers[-1])
@@ -303,9 +298,9 @@ def exhaustive_adversary(
         accept_count = np.zeros(block.size, dtype=np.int32)
         recomputed = []
         for i in range(1, d + 1):
-            idx, thr = ts.circuit.layer_arrays(i)
+            idx = ts.circuit.layers[i - 1]
             sums = layer_bits[i - 1][idx].sum(axis=1, dtype=np.int16)
-            recomputed.append((sums >= thr[:, None]).astype(np.uint8))
+            recomputed.append((sums >= ts.circuit.fire_count(i)).astype(np.uint8))
         for j in range(m):
             ok = clause_sat[j] == layer_bits[0][j]
             for i in range(1, d + 1):
@@ -383,12 +378,11 @@ def export_checks_csp(
         l0_pos = ts.layer_offset(0) + j
         ok = clause_val == bit_of(l0_pos)
         for i, g in chk.gate_refs:
-            gate = ts.circuit.layers[i - 1][g]
             off_prev = ts.layer_offset(i - 1)
             ones = np.zeros(patterns.size, dtype=np.int64)
-            for p in gate.inputs:
+            for p in ts.circuit.layers[i - 1][g].tolist():
                 ones += bit_of(off_prev + p)
-            recomputed = ones >= gate.fire_count
+            recomputed = ones >= ts.circuit.fire_count(i)
             claimed = bit_of(ts.layer_offset(i) + g) == 1
             ok &= recomputed == claimed
         top_pos = ts.layer_offset(ts.circuit.depth) + (j % ts.layer_widths()[-1])

@@ -105,6 +105,7 @@ def test_criterion_03_layer_damping(det_circuits):
                 continue
             oracle_rep = exhaustive_layer_check(
                 circuit.layers[layer_idx - 1],
+                circuit.theta,
                 w_in,
                 DEFAULT_SCHEME.mean_in,
                 DEFAULT_SCHEME.mean_out,
@@ -183,7 +184,7 @@ def test_criterion_06_accounting(det_circuits, completeness_corpus):
         assert ts.accounting.randomness_strings == m
         assert ts.accounting.randomness_bits == m.bit_length() - 1
         d = circuit.depth
-        fan_ins = [max(len(g.inputs) for g in layer) for layer in circuit.layers]
+        fan_ins = [idx.shape[1] for idx in circuit.layers]
         for j, q in enumerate(ts.accounting.per_check_queries):
             assert q <= inst.clauses[j].arity + sum(fan_ins) + d + 1
         systems += 1

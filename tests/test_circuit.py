@@ -8,7 +8,6 @@ import pytest
 from gapforge.circuit import (
     DEFAULT_SCHEME,
     RobustCircuit,
-    ThresholdGate,
     ThresholdScheme,
     build_deterministic,
     build_randomized,
@@ -52,9 +51,7 @@ class TestDeterministicBuild:
         assert c.widths() == [8, 4, 2, 1]
         assert c.total_gates() == 15
         assert c.total_gates() + c.m == 2 * 16 - 1
-        assert all(
-            g.theta == Fraction(4, 5) for layer in c.layers for g in layer
-        )
+        assert c.theta == Fraction(4, 5)  # the threshold of every gate
         assert len(c.layers[-1]) == 1  # single top gate
 
     def test_non_power_of_two_widths(self):
@@ -95,13 +92,9 @@ class TestRandomizedBuild:
 
     def test_multiset_inputs(self):
         c = build_randomized(64, f=12, seed=3)
-        assert all(
-            len(g.inputs) == 12 for layer in c.layers for g in layer
-        )
+        assert all(idx.shape[1] == 12 for idx in c.layers)
         has_duplicate = any(
-            len(set(g.inputs)) < len(g.inputs)
-            for layer in c.layers
-            for g in layer
+            len(set(row)) < len(row) for idx in c.layers for row in idx.tolist()
         )
         assert has_duplicate  # replacement sampling repeats eventually
 
@@ -159,13 +152,22 @@ class TestGoodness:
         # every gate reads the same inputs at a threshold met by 7/10 strings
         m = 10
         shared = tuple(range(m))
-        layer = [ThresholdGate(shared, Fraction(1, 2)) for _ in range(5)]
-        c = _custom_circuit([layer], m, theta=Fraction(1, 2))
+        c = _custom_circuit([[shared] * 5], m, theta=Fraction(1, 2))
         cert = certify_goodness(c)
         assert not cert.passed
         assert cert.layers[0].witness is not None
         witness = int(cert.layers[0].witness, 16)
         assert bin(witness).count("1") <= 7
+
+    def test_gate_multiplicity_matches_loop(self):
+        from gapforge.circuit import _gate_multiplicity
+
+        idx = build_randomized(64, f=12, seed=3).layers[0]
+        ref = np.zeros((64, idx.shape[0]), dtype=np.int16)
+        for g, row in enumerate(idx.tolist()):
+            for p in row:
+                ref[p, g] += 1
+        assert np.array_equal(_gate_multiplicity(idx, 64), ref)
 
     def test_statistical_mode_records_trials(self):
         c = build_randomized(64, f=16, seed=11)
@@ -181,7 +183,7 @@ class TestGoodness:
             if w_in > 18:
                 continue
             rep = exhaustive_layer_check(
-                c.layers[layer_idx - 1], w_in, Fraction(7, 10), Fraction(6, 10)
+                c.layers[layer_idx - 1], c.theta, w_in, Fraction(7, 10), Fraction(6, 10)
             )
             verdict = cert.layers[layer_idx - 1]
             assert rep.passed == verdict.passed
@@ -209,6 +211,38 @@ class TestSerialization:
         parsed = parse_circuit(serialize_circuit(c))
         assert parsed == c
         assert parsed.fan_in == 7
+
+    def test_layers_are_sorted_read_only_arrays(self):
+        c = build_randomized(64, f=7, seed=1)
+        for idx, w in zip(c.layers, c.widths()):
+            assert idx.shape == (w, 7)
+            assert (np.diff(idx, axis=1) >= 0).all()
+            with pytest.raises(ValueError):
+                idx[0, 0] = 0
+
+    def test_round_trip_keeps_certificate(self):
+        m = 10
+        custom = _custom_circuit(
+            [[tuple(range(m))] * 5, [(0, 1, 2, 3, 4)] * 3, [(0, 1, 2)] * 2, [(0, 1)]],
+            m,
+            theta=Fraction(1, 2),
+        )
+        built = (build_deterministic(64, seed=3), build_randomized(64, f=7, seed=1))
+        for c in built + (custom,):
+            parsed = parse_circuit(serialize_circuit(c))
+            assert parsed == c
+            for kwargs in ({}, {"exhaustive_cap": 4, "trials": 16}):
+                assert (
+                    certify_goodness(parsed, seed=2, **kwargs).to_doc()
+                    == certify_goodness(c, seed=2, **kwargs).to_doc()
+                )
+
+    def test_mixed_fan_in_layer_rejected(self):
+        text = serialize_circuit(build_randomized(16, f=3, seed=0))
+        lines = text.splitlines()
+        lines[2] += " 0"  # second gate of layer 1 gets a fourth input
+        with pytest.raises(ParseError, match="line 3"):
+            parse_circuit("\n".join(lines) + "\n")
 
     def test_header_and_gate_errors(self):
         with pytest.raises(ParseError):

@@ -1,0 +1,89 @@
+"""Golden outputs: sha256 of the reports and circuit file of a small fixed CLI
+command set. A refactor that keeps behaviour keeps every hash; a declared
+correctness fix that changes an output updates its hash here."""
+
+import hashlib
+
+import pytest
+
+from gapforge.cli import main
+from gapforge.csp import serialize
+
+from conftest import random_3sat, unit_pair_instance
+
+# name -> (exit code, sha256 of the written file)
+GOLDEN = {
+    "det.json": (
+        0, "9b22dada9819f2caf02c97605ce077881c7aa5ef3d0ff2a911e8d69e60b52d04"
+    ),
+    "det.rcirc": (
+        0, "32ad4b0030c8afd01cf2ef06b0db8712f7d83947a3e1b775afee11757e5664c1"
+    ),
+    "certify.json": (
+        0, "6175fd0aa9f50f65bf404e02e5f3611f3fe322e0a30387fe7681a1e7253757f9"
+    ),
+    "rand.json": (
+        0, "14b6b8a3d12974d693068a5c02520472a5f24e71e75258dd1c8a78a1f0814c85"
+    ),
+    "adversary.json": (
+        0, "fc7e8a38f0b3fb5a65ada5fa44c4446f9386378941d706d0239a3d98bb2d8848"
+    ),
+    "dry_run.json": (
+        0, "4c048634cb55c148ea1ef0ed332f4bac12187477316c64767d2e15b63805e206"
+    ),
+}
+
+
+def golden_outputs(wd) -> dict[str, tuple[int, str]]:
+    """Run the fixed command set in directory wd; (exit code, sha256) per
+    output file."""
+    inputs = {
+        "m64.cnf": random_3sat(8, 64, 11),
+        "m256.cnf": random_3sat(6, 256, 1),
+        "pair.cnf": unit_pair_instance(2, 8, (0,)),
+        "no48.cnf": unit_pair_instance(8, 48, (0,)),
+    }
+    for name, inst in inputs.items():
+        (wd / name).write_text(serialize(inst))
+    commands = {
+        # the 64- and 32-wide layers are certified statistically, so the
+        # greedy climb runs
+        "det.json": [
+            "transform", "--input", "m64.cnf", "--variant", "det", "--certify",
+            "--out-circuit", "det.rcirc",
+        ],
+        # builds the adversarial corpus for every layer
+        "certify.json": ["certify", "--circuit", "det.rcirc"],
+        "rand.json": [
+            "transform", "--input", "m256.cnf", "--variant", "rand",
+            "--fanin", "8", "--certify",
+        ],
+        # 2 + 8 + 7 = 17 proof bits
+        "adversary.json": [
+            "transform", "--input", "pair.cnf", "--certify",
+            "--adversary", "exhaustive",
+        ],
+        "dry_run.json": [
+            "gap-reduce", "--input", "no48.cnf", "--k", "32", "--t", "4",
+            "--dry-run",
+        ],
+    }
+    out = {}
+    for name, argv in commands.items():
+        argv = [str(wd / a) if a.endswith((".cnf", ".rcirc")) else a for a in argv]
+        code = main(argv + ["--seed", "0", "--report", str(wd / name)])
+        out[name] = (code, hashlib.sha256((wd / name).read_bytes()).hexdigest())
+        if name == "det.json":
+            digest = hashlib.sha256((wd / "det.rcirc").read_bytes()).hexdigest()
+            out["det.rcirc"] = (code, digest)
+    return out
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return golden_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_matches_golden(outputs, name):
+    assert outputs[name] == GOLDEN[name]

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapforge.circuit import ThresholdGate
 from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
 from gapforge.errors import ResourceCapError
 from gapforge.oracle import (
@@ -65,35 +64,42 @@ class TestBruteForce:
 class TestLayerCheck:
     def test_identity_wiring_fails_with_witness(self):
         w = 10
-        gates = [ThresholdGate((i,), Fraction(1, 2)) for i in range(w)]
-        rep = exhaustive_layer_check(gates, w, Fraction(7, 10), Fraction(6, 10))
+        rows = [(i,) for i in range(w)]
+        rep = exhaustive_layer_check(
+            rows, Fraction(1, 2), w, Fraction(7, 10), Fraction(6, 10)
+        )
         assert not rep.passed
         assert rep.witness is not None
         assert sum(rep.witness) <= 7  # violating string respects the mean bound
 
     def test_full_fan_in_theta_08_passes(self):
         w = 10
-        gates = [ThresholdGate(tuple(range(w)), Fraction(4, 5)) for _ in range(5)]
-        rep = exhaustive_layer_check(gates, w, Fraction(7, 10), Fraction(6, 10))
+        rows = [tuple(range(w))] * 5
+        rep = exhaustive_layer_check(
+            rows, Fraction(4, 5), w, Fraction(7, 10), Fraction(6, 10)
+        )
         assert rep.passed
         assert rep.worst_output_count == 0  # 0.7 < 0.8 means nobody fires
 
     def test_same_inputs_low_theta_caught(self):
         w = 10
         shared = tuple(range(w))
-        gates = [ThresholdGate(shared, Fraction(1, 2)) for _ in range(5)]
-        rep = exhaustive_layer_check(gates, w, Fraction(7, 10), Fraction(6, 10))
+        rep = exhaustive_layer_check(
+            [shared] * 5, Fraction(1, 2), w, Fraction(7, 10), Fraction(6, 10)
+        )
         assert not rep.passed and rep.worst_output_count == 5
 
     def test_width_cap(self):
-        gates = [ThresholdGate((0,), Fraction(1, 2))]
         with pytest.raises(ResourceCapError):
-            exhaustive_layer_check(gates, 23, Fraction(7, 10), Fraction(6, 10))
+            exhaustive_layer_check(
+                [(0,)], Fraction(1, 2), 23, Fraction(7, 10), Fraction(6, 10)
+            )
 
     def test_strings_checked_counts_mean_bound(self):
         w = 8
-        gates = [ThresholdGate(tuple(range(w)), Fraction(4, 5))]
-        rep = exhaustive_layer_check(gates, w, Fraction(7, 10), Fraction(6, 10))
+        rep = exhaustive_layer_check(
+            [tuple(range(w))], Fraction(4, 5), w, Fraction(7, 10), Fraction(6, 10)
+        )
         expected = sum(math.comb(w, k) for k in range(0, 5 + 1))  # popcount <= 5
         assert rep.strings_checked == expected
 

@@ -59,6 +59,38 @@ class TestBuildExpander:
                 assert len(set(row)) == D  # simple
                 assert v not in row  # loop-free
 
+    def test_asymmetric_edge_rejected(self):
+        # directed 4-cycle: (0, 1) is an entry, (1, 0) is not
+        with pytest.raises(GapforgeError, match="not symmetric"):
+            RegularGraph(4, 1, ((1,), (2,), (3,), (0,)))
+
+    def test_asymmetric_multiplicity_rejected(self):
+        # both directions of (0, 1) are present, but (0, 1) twice and (1, 0)
+        # once; the edge sets agree, only the multiset differs
+        with pytest.raises(GapforgeError, match=r"not symmetric at \(0,1\)"):
+            RegularGraph(3, 2, ((1, 1), (0, 2), (1, 2)))
+
+    def test_symmetry_check_matches_pairwise_reference(self):
+        def symmetric(adj):
+            counts = {}
+            for u, row in enumerate(adj):
+                for v in row:
+                    counts[(u, v)] = counts.get((u, v), 0) + 1
+            return all(counts.get((v, u), 0) == c for (u, v), c in counts.items())
+
+        rng = rng_from(5)
+        for trial in range(40):
+            g = build_expander(12, 4, seed=trial)
+            adj = [list(row) for row in g.adjacency]
+            if trial % 4:  # move one entry; some moves keep the multiset symmetric
+                adj[int(rng.integers(12))][int(rng.integers(4))] = int(rng.integers(12))
+            adj = tuple(tuple(row) for row in adj)
+            if symmetric(adj):
+                RegularGraph(12, 4, adj)
+            else:
+                with pytest.raises(GapforgeError, match="not symmetric"):
+                    RegularGraph(12, 4, adj)
+
     def test_most_random_cubic_graphs_expand(self):
         # N=6, D=3: measured lambda below 0.95 for at least 90 of 100 seeds
         good = 0

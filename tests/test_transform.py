@@ -78,7 +78,7 @@ class TestTransform:
         c, cert = det_circuits[32]
         ts = transform(inst, c, certificate=cert)
         d = c.depth
-        fan_ins = [max(len(g.inputs) for g in layer) for layer in c.layers]
+        fan_ins = [idx.shape[1] for idx in c.layers]
         for j, q in enumerate(ts.accounting.per_check_queries):
             chk = ts.check(j)
             assert q == len(chk.transcript)
