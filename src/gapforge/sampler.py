@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -248,7 +249,9 @@ def build_expander(
     )
 
 
-def second_eigenvalue(g: RegularGraph, tol: float = 1e-8) -> float:
+def second_eigenvalue(
+    g: RegularGraph, tol: float = 1e-8, stop_above: float | None = None
+) -> float:
     """Normalized second-largest absolute eigenvalue of the walk matrix.
 
     Deflated block power iteration on the squared walk operator restricted to
@@ -258,6 +261,18 @@ def second_eigenvalue(g: RegularGraph, tol: float = 1e-8) -> float:
     For the symmetric operator the Ritz residual bounds the eigenvalue error
     (Weyl), which certifies the +/- tol accuracy. Raises IterationCapError
     with the last estimate if the residual never gets there.
+
+    With stop_above set, the solve ends as soon as sqrt(theta) exceeds
+    stop_above + tol, where theta is the top Ritz value of the current
+    orthonormal block, and returns that sqrt(theta). The return value is
+    then a lower bound on lambda, not a converged estimate, and it lies
+    above stop_above. The bound holds because the deflated squared walk
+    operator is symmetric PSD: by Courant-Fischer its top Ritz value on any
+    orthonormal block is at most lambda^2, and block power iteration on a
+    PSD operator never lowers the top Ritz value, so the converged estimate
+    would also lie above stop_above. A solve whose converged value is at
+    most stop_above never meets the condition and returns bit for bit what
+    it returns without stop_above.
     """
     N, D = g.num_vertices, g.degree
     nbrs = g.neighbor_matrix()
@@ -281,9 +296,11 @@ def second_eigenvalue(g: RegularGraph, tol: float = 1e-8) -> float:
         H = (H + H.T) / 2
         vals, vecs = np.linalg.eigh(H)
         theta = float(vals[-1])
+        lam = float(np.sqrt(max(theta, 0.0)))
+        if stop_above is not None and lam > stop_above + tol:
+            return lam
         top = V @ vecs[:, -1]
         resid = float(np.linalg.norm(walk_sq(top) - theta * top))
-        lam = float(np.sqrt(max(theta, 0.0)))
         if resid <= max(2.0 * tol * max(lam, tol), 1e-14):
             return lam
         V, _ = np.linalg.qr(deflate(Y))
@@ -369,6 +386,23 @@ class SamplerFamily:
             mat[i, list(s)] = 1
         return mat
 
+    @cached_property
+    def _intersection_degree(self) -> int:
+        # only the int is kept: the incidence matrix is rebuilt per use so
+        # that a family costs no more memory than its sets
+        if not self.sets:
+            return 0
+        # float32 takes the BLAS path and is exact (overlaps are at most
+        # set_size); 256-row blocks keep the overlap matrix small.
+        inc = self.incidence().astype(np.float32)
+        degree = 0
+        for lo in range(0, inc.shape[0], 256):
+            overlap = inc[lo : lo + 256] @ inc.T
+            rows = np.arange(overlap.shape[0])
+            overlap[rows, lo + rows] = 0
+            degree = max(degree, int((overlap > 0).sum(axis=1).max()))
+        return degree
+
 
 def _family_from_graph(
     graph: RegularGraph,
@@ -410,7 +444,9 @@ def _search_expander(
         except InfeasibleParametersError as exc:
             last_error = exc
             continue
-        lam = second_eigenvalue(graph, tol=1e-8)
+        # a degree whose Ritz lower bound clears the target is rejected as
+        # soon as it does; an accepted degree runs its full solve
+        lam = second_eigenvalue(graph, tol=1e-8, stop_above=params.target_lambda)
         if lam <= params.target_lambda:
             return graph, lam
     raise InfeasibleParametersError(
@@ -457,19 +493,9 @@ def family_from_sets(
 
 
 def intersection_degree(fam: SamplerFamily) -> int:
-    """Exact max number of other sets any set shares an element with."""
-    if not fam.sets:
-        return 0
-    # float32 takes the BLAS path and is exact (overlaps are at most
-    # set_size); 256-row blocks keep the overlap matrix small.
-    inc = fam.incidence().astype(np.float32)
-    degree = 0
-    for lo in range(0, inc.shape[0], 256):
-        overlap = inc[lo : lo + 256] @ inc.T
-        rows = np.arange(overlap.shape[0])
-        overlap[rows, lo + rows] = 0
-        degree = max(degree, int((overlap > 0).sum(axis=1).max()))
-    return degree
+    """Exact max number of other sets any set shares an element with;
+    computed on the first call for a family and cached on it."""
+    return fam._intersection_degree
 
 
 def mixing_bound(lam: float, gamma: Fraction, eta: Fraction) -> float:

@@ -1,13 +1,16 @@
 """Golden outputs: sha256 of the reports and circuit file of a small fixed CLI
-command set. A refactor that keeps behaviour keeps every hash; a declared
-correctness fix that changes an output updates its hash here."""
+command set, and of two sampler families. A refactor that keeps behaviour
+keeps every hash; a declared correctness fix that changes an output updates
+its hash here."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from gapforge.cli import main
 from gapforge.csp import serialize
+from gapforge.sampler import SamplerParams, build_sampler_family, serialize_family
 
 from conftest import random_3sat, unit_pair_instance
 
@@ -87,3 +90,32 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+# family -> (degree, repr(measured_lambda), sha256 of serialize_family)
+GOLDEN_FAMILIES = {
+    # eight degrees below 64 fail the 0.25 target
+    "reduction": (
+        64, "0.2436363031409573",
+        "7c0213bf21fca68146acfc2223adaad07b1ddff0b1f6afa8b988ab4e0c7ae12c",
+    ),
+    "halved-256": (
+        4, "0.8579825376679474",
+        "8ff30eea9cf3cd9c1d7cee9ba3d1dcaf02b05105096656c6d9286f8c73994e6a",
+    ),
+}
+
+
+def family_pin(fam) -> tuple[int, str, str]:
+    digest = hashlib.sha256(serialize_family(fam).encode()).hexdigest()
+    return fam.degree, repr(fam.measured_lambda), digest
+
+
+def test_reduction_family_matches_golden(red_family):
+    assert family_pin(red_family) == GOLDEN_FAMILIES["reduction"]
+
+
+def test_halved_family_matches_golden():
+    params = SamplerParams(Fraction(1, 4), Fraction(1, 4), Fraction(3, 4))
+    fam = build_sampler_family(params, 256, seed=5)
+    assert family_pin(fam) == GOLDEN_FAMILIES["halved-256"]

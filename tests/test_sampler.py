@@ -7,8 +7,10 @@ import pytest
 
 from gapforge.errors import GapforgeError, InfeasibleParametersError
 from gapforge.sampler import (
+    DEFAULT_DEGREE_SCHEDULE,
     PROVENANCE_EXPLICIT,
     RegularGraph,
+    SamplerFamily,
     SamplerParams,
     adversarial_corpus,
     build_expander,
@@ -23,7 +25,7 @@ from gapforge.sampler import (
     second_eigenvalue_dense,
     serialize_family,
 )
-from gapforge.util import rng_from
+from gapforge.util import derive_seed, rng_from
 
 
 class TestBuildExpander:
@@ -134,6 +136,25 @@ class TestSecondEigenvalue:
         g = RegularGraph(8, 3, adj)
         assert second_eigenvalue(g, 1e-9) == pytest.approx(1.0, abs=1e-8)
 
+    def test_early_stop_is_a_lower_bound_above_stop(self):
+        early = 0
+        for N, D, seed in ((8, 4, 0), (24, 5, 1), (48, 7, 2), (64, 9, 3), (64, 32, 4)):
+            g = build_expander(N, D, seed=seed)
+            exact = second_eigenvalue_dense(g)
+            for frac in (0.0, 0.5, 0.9, 0.99):
+                stop = frac * exact
+                got = second_eigenvalue(g, 1e-8, stop_above=stop)
+                assert stop < got <= exact + 1e-12
+                early += got < exact - 1e-6
+        assert early, "no case stopped before converging"
+
+    def test_early_stop_never_meets_an_accepted_solve(self):
+        for N, D, seed in ((24, 5, 1), (64, 9, 3)):
+            g = build_expander(N, D, seed=seed)
+            full = second_eigenvalue(g, 1e-8)
+            for stop in (full, full + 1e-9, 0.99):
+                assert second_eigenvalue(g, 1e-8, stop_above=stop) == full
+
 
 PARAMS = SamplerParams(
     epsilon=Fraction(1, 10),
@@ -202,9 +223,89 @@ class TestFamilies:
         )
         assert intersection_degree(fam) == expected
 
+    def test_intersection_degree_computed_once_per_family(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        sets = [tuple(sorted(rng.choice(300, 4, replace=False).tolist())) for _ in range(300)]
+        fam = family_from_sets(300, sets, PARAMS)
+        built = []
+        real = SamplerFamily.incidence
+
+        def counting(self):
+            built.append(1)
+            return real(self)
+
+        monkeypatch.setattr(SamplerFamily, "incidence", counting)
+        first = intersection_degree(fam)
+        assert len(built) == 1
+        assert intersection_degree(fam) == first
+        assert len(built) == 1
+
     def test_family_invariants_enforced(self):
         with pytest.raises(GapforgeError):
             family_from_sets(4, [(0, 1), (1, 1)], PARAMS)
+
+
+def _reference_search(params, N, seed, degree_schedule=None):
+    """(degree, lambda) the expander search picks when every degree is solved
+    to 1e-8 with no early stop, or None when no degree qualifies."""
+    schedule = [
+        d for d in (degree_schedule or DEFAULT_DEGREE_SCHEDULE)
+        if 3 <= d <= N - 1 and (N * d) % 2 == 0
+    ]
+    if degree_schedule is None and N - 1 not in schedule:
+        schedule.append(N - 1)
+    for D in schedule:
+        lam = second_eigenvalue(build_expander(N, D, derive_seed(seed, D)), 1e-8)
+        if lam <= params.target_lambda:
+            return D, lam
+    return None
+
+
+def _params(target: float) -> SamplerParams:
+    return SamplerParams(PARAMS.epsilon, PARAMS.delta, PARAMS.gamma, target)
+
+
+class TestEarlyRejection:
+    """Early rejection of failing degrees picks the degree, and the bit-exact
+    lambda, that full solves of every degree pick."""
+
+    @pytest.mark.parametrize(
+        "N, seed, target, schedule",
+        [
+            (128, 9, 0.5, None),
+            (256, 21, 0.3, None),
+            (256, 21, 0.97, None),
+            (12, 4, 0.1, None),  # only the appended complete graph qualifies
+            (10, 1, 0.2, None),
+            (64, 3, 0.45, (8, 12, 16, 24)),
+        ],
+    )
+    def test_same_degree_and_lambda_as_full_solves(self, N, seed, target, schedule):
+        params = _params(target)
+        want = _reference_search(params, N, seed, schedule)
+        assert want is not None
+        for build in (build_full_family, build_sampler_family):
+            fam = build(params, N, seed, schedule)
+            assert (fam.degree, fam.measured_lambda) == want
+
+    def test_target_between_adjacent_degrees(self):
+        N, seed = 64, 3
+        lams = {
+            D: second_eigenvalue(build_expander(N, D, derive_seed(seed, D)), 1e-8)
+            for D in (24, 32)
+        }
+        assert lams[32] < lams[24]
+        params = _params((lams[24] + lams[32]) / 2)
+        want = _reference_search(params, N, seed)
+        assert want == (32, lams[32])
+        fam = build_full_family(params, N, seed)
+        assert (fam.degree, fam.measured_lambda) == want
+
+    def test_no_qualifying_degree_still_raises(self):
+        params = _params(0.05)
+        assert _reference_search(params, 64, 3, (4, 8, 16)) is None
+        with pytest.raises(InfeasibleParametersError):
+            build_full_family(params, 64, 3, (4, 8, 16))
 
 
 class TestCertification:
