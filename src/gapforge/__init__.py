@@ -52,6 +52,7 @@ from .sampler import (
     parse_family,
     second_eigenvalue,
     serialize_family,
+    trace_lambda_bound,
 )
 from .transform import (
     ProofString,

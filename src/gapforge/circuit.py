@@ -22,6 +22,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,13 @@ import numpy as np
 from .csp import GapSpec
 from .errors import GapforgeError, InfeasibleParametersError, ParseError
 from .oracle import estimate
-from .sampler import SamplerParams, build_expander, second_eigenvalue, swap_climb
+from .sampler import (
+    SamplerParams,
+    build_expander,
+    second_eigenvalue,
+    swap_climb,
+    trace_lambda_sq_bound,
+)
 from .util import (
     derive_seed,
     floor_frac,
@@ -93,9 +100,14 @@ DEFAULT_SCHEME = ThresholdScheme()
 
 @dataclass(frozen=True)
 class LayerWiring:
+    """How one layer was wired. For a sampler layer, lambda_bound is an upper
+    bound on the expander's normalized second eigenvalue, at most the target:
+    the trace bound sqrt(N/D - 1) when that clears the target, otherwise the
+    value solved to 1e-8 by power iteration. None for every other kind."""
+
     kind: str  # "sampler" | "full" | "random" | "parsed"
     degree: int | None = None
-    measured_lambda: float | None = None
+    lambda_bound: float | None = None
 
 
 @dataclass
@@ -161,6 +173,12 @@ class RobustCircuit:
         """Ones a gate of this layer (1-based) needs to fire."""
         return threshold_count(self.theta, self.layers[layer - 1].shape[1])
 
+    @cached_property
+    def rcirc_text(self) -> str:
+        """serialize_circuit(self), computed once: the fields never change
+        after construction, so neither does the text."""
+        return serialize_circuit(self)
+
 
 def width_at(m: int, i: int) -> int:
     return max(1, -(-m // (1 << i)))
@@ -207,10 +225,17 @@ def build_deterministic(
 ) -> RobustCircuit:
     """Sampler-wired circuit with halving widths down to one top gate.
 
-    Layer i+1's gate j reads the neighbor set of vertex j in a verified
-    expander on the w_i previous-layer positions; widths at or below the
-    degenerate cutoff fall back to full fan-in, where the scheme bounds hold
-    outright. The wiring records degree and measured lambda per layer.
+    Layer i+1's gate j reads the neighbor set of vertex j in an expander on
+    the w_i previous-layer positions; widths at or below the degenerate
+    cutoff fall back to full fan-in, where the scheme bounds hold outright.
+
+    A sampler layer must have lambda <= params.target_lambda. The trace
+    bound lambda^2 <= N/D - 1 decides that exactly in rationals; the degrees
+    worst_case_degree picks keep it far below the default target, so no
+    eigenvalue is solved on default params. Only when the bound exceeds the
+    target is lambda solved to 1e-8 by power iteration, and the layer is
+    rejected if that value exceeds the target too. The wiring records degree
+    and lambda_bound per layer.
     """
     if m < 2:
         raise InfeasibleParametersError("need at least 2 inputs")
@@ -231,14 +256,18 @@ def build_deterministic(
         else:
             D = worst_case_degree(w_in, scheme)
             graph = build_expander(w_in, D, derive_seed(seed, i))
-            lam = second_eigenvalue(graph, tol=1e-8)
-            if lam > params.target_lambda:
-                raise InfeasibleParametersError(
-                    f"layer {i}: lambda {lam:.4f} above target "
-                    f"{params.target_lambda} at width {w_in}"
-                )
+            lam_sq = trace_lambda_sq_bound(graph)
+            if lam_sq <= Fraction(params.target_lambda) ** 2:
+                lam = math.sqrt(lam_sq)
+            else:
+                lam = second_eigenvalue(graph, tol=1e-8)
+                if lam > params.target_lambda:
+                    raise InfeasibleParametersError(
+                        f"layer {i}: lambda {lam:.4f} above target "
+                        f"{params.target_lambda} at width {w_in}"
+                    )
             layers.append(graph.adjacency[:w_out])
-            meta.append(LayerWiring(kind="sampler", degree=D, measured_lambda=lam))
+            meta.append(LayerWiring(kind="sampler", degree=D, lambda_bound=lam))
     return RobustCircuit(
         m=m,
         depth=depth,
@@ -400,7 +429,8 @@ class GoodnessCertificate:
 
 
 def circuit_digest(c: RobustCircuit) -> str:
-    return hashlib.sha256(serialize_circuit(c).encode()).hexdigest()
+    """sha256 of the circuit's .rcirc text, serialized once per circuit."""
+    return hashlib.sha256(c.rcirc_text.encode()).hexdigest()
 
 
 def _gate_multiplicity(idx: np.ndarray, w_in: int) -> np.ndarray:

@@ -58,8 +58,8 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
     """Per-layer sampler reports over the wiring viewed as set families.
 
     Randomized layers are multisets and are skipped (goodness verdicts cover
-    them); explicit-list families carry no spectral data, so the mixing line
-    only appears for freshly built deterministic layers.
+    them). The families are explicit lists with no spectral data, so no
+    report carries the mixing line.
     """
     docs = []
     scheme = c.scheme or circuit_mod.DEFAULT_SCHEME
@@ -76,9 +76,7 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
             sets=sets,
             params=params,
             provenance=sampler.PROVENANCE_EXPLICIT,
-            measured_lambda=(
-                c.layer_meta[layer - 1].measured_lambda if c.layer_meta else None
-            ),
+            measured_lambda=None,
         )
         corpus = sampler.adversarial_corpus(fam, seed)
         rep = sampler.certify_sampler(fam, corpus)
@@ -128,7 +126,7 @@ def cmd_transform(args) -> int:
         base, circ, certificate=cert, waive_certificate=cert is None
     )
     if args.out_circuit:
-        Path(args.out_circuit).write_text(circuit_mod.serialize_circuit(circ))
+        Path(args.out_circuit).write_text(circ.rcirc_text)
     if args.export_checks:
         exported = export_checks_csp(ts)
         Path(args.export_checks).write_text(csp.serialize(exported))

@@ -15,6 +15,7 @@ asymptotic constants: a family is considered usable only after
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -307,6 +308,32 @@ def second_eigenvalue(
     raise IterationCapError(
         "block power iteration did not converge", float(np.sqrt(max(theta, 0.0)))
     )
+
+
+def trace_lambda_sq_bound(g: RegularGraph) -> Fraction:
+    """tr(W^2) - 1 as an exact rational: an upper bound on lambda_i^2 for
+    every walk-matrix eigenvalue except one copy of 1 (the trace method).
+
+    W is symmetric, so tr(W^2) = sum_i lambda_i^2 = S / D^2, where S is the
+    sum over ordered pairs (u, v) of mult(u, v)^2; dropping the eigenvalue 1
+    of the all-ones vector leaves every other lambda_i^2 at most S / D^2 - 1.
+    S is read off the run lengths of the sorted keys u*N + v, so repeated
+    neighbors of a multigraph count. S >= D^2 by Cauchy-Schwarz on each row,
+    so the value is never negative. A simple graph has S = N * D.
+    """
+    N, D = g.num_vertices, g.degree
+    rows = np.sort(g.neighbor_matrix(), axis=1)
+    keys = (np.arange(N, dtype=np.int64)[:, None] * N + rows).ravel()  # sorted
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    runs = np.diff(np.r_[starts, keys.size])
+    S = int((runs * runs).sum())
+    return Fraction(S - D * D, D * D)
+
+
+def trace_lambda_bound(g: RegularGraph) -> float:
+    """sqrt(tr(W^2) - 1): bounds the absolute value of every walk-matrix
+    eigenvalue except one copy of 1; sqrt(N / D - 1) for a simple graph."""
+    return math.sqrt(trace_lambda_sq_bound(g))
 
 
 def second_eigenvalue_dense(g: RegularGraph) -> float:

@@ -1,5 +1,7 @@
 """Circuit construction, evaluation, goodness certification, serialization."""
 
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from gapforge.circuit import (
     build_deterministic,
     build_randomized,
     certify_goodness,
+    circuit_digest,
     completeness_inputs,
     evaluate,
     layer_means,
@@ -21,8 +24,10 @@ from gapforge.circuit import (
     serialize_circuit,
     worst_case_degree,
 )
+import gapforge.circuit as circuit_mod
 from gapforge.errors import GapforgeError, InfeasibleParametersError, ParseError
 from gapforge.oracle import estimate, exhaustive_layer_check
+from gapforge.sampler import SamplerParams, second_eigenvalue
 from gapforge.util import rng_from, threshold_count
 
 
@@ -75,7 +80,60 @@ class TestDeterministicBuild:
         c = build_deterministic(32, seed=2)
         kinds = [m.kind for m in c.layer_meta]
         assert kinds[0] == "sampler" and kinds[-1] == "full"
-        assert c.layer_meta[0].measured_lambda is not None
+        for layer, meta in enumerate(c.layer_meta, start=1):
+            if meta.kind == "sampler":
+                # the trace bound of a simple D-regular graph on w vertices
+                w = c.width_in(layer)
+                assert meta.lambda_bound == math.sqrt(Fraction(w, meta.degree) - 1)
+            else:
+                assert meta.lambda_bound is None
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record the result of every second_eigenvalue call build_deterministic
+    makes."""
+    solved = []
+
+    def counting(*args, **kwargs):
+        solved.append(second_eigenvalue(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(circuit_mod, "second_eigenvalue", counting)
+    return solved
+
+
+def _params(target_lambda: float) -> SamplerParams:
+    s = DEFAULT_SCHEME
+    return SamplerParams(s.slack, s.soundness, s.theta, target_lambda=target_lambda)
+
+
+class TestLayerLambda:
+    @pytest.mark.parametrize("m", [64, 1024])
+    def test_default_params_solve_nothing(self, monkeypatch, m):
+        solved = _count_solves(monkeypatch)
+        c = build_deterministic(m, seed=0)
+        assert solved == []
+        bounds = [w.lambda_bound for w in c.layer_meta if w.kind == "sampler"]
+        assert bounds and all(b <= 0.97 for b in bounds)
+
+    def test_bound_above_target_falls_back_to_solve(self, monkeypatch):
+        solved = _count_solves(monkeypatch)
+        c = build_deterministic(64, params=_params(0.3), seed=0)
+        sampler_meta = [w for w in c.layer_meta if w.kind == "sampler"]
+        assert len(sampler_meta) == 3  # widths 64, 32, 16; 8 is full fan-in
+        assert [w.lambda_bound for w in sampler_meta] == solved
+        assert all(lam <= 0.3 for lam in solved)
+        # the same wiring as on default params: only the lambda record differs
+        assert c == build_deterministic(64, seed=0)
+
+    def test_solved_lambda_above_target_raises(self, monkeypatch):
+        solved = _count_solves(monkeypatch)
+        with pytest.raises(
+            InfeasibleParametersError,
+            match=r"layer 1: lambda 0\.\d{4} above target 0\.01 at width 64",
+        ):
+            build_deterministic(64, params=_params(0.01), seed=0)
+        assert len(solved) == 1
 
 
 class TestRandomizedBuild:
@@ -202,6 +260,22 @@ class TestRandomizedCompleteness:
 
 
 class TestSerialization:
+    def test_digest_serializes_once(self, monkeypatch):
+        c = build_deterministic(64, seed=4)
+        want = hashlib.sha256(serialize_circuit(c).encode()).hexdigest()
+        calls = []
+
+        def counting(circ):
+            calls.append(circ)
+            return serialize_circuit(circ)
+
+        monkeypatch.setattr(circuit_mod, "serialize_circuit", counting)
+        assert circuit_digest(c) == want
+        assert circuit_digest(c) == want
+        assert certify_goodness(c, exhaustive_cap=4, trials=8).circuit_digest == want
+        assert len(calls) == 1
+        assert c.rcirc_text == serialize_circuit(c)
+
     def test_round_trip_deterministic(self):
         c = build_deterministic(32, seed=9)
         assert parse_circuit(serialize_circuit(c)) == c

@@ -1,13 +1,15 @@
 """Golden outputs: sha256 of the reports and circuit file of a small fixed CLI
-command set, and of two sampler families. A refactor that keeps behaviour
-keeps every hash; a declared correctness fix that changes an output updates
-its hash here."""
+command set, of a deterministic circuit at m=1024 and its certificate, and of
+two sampler families. A refactor that keeps behaviour keeps every hash; a
+declared correctness fix that changes an output updates its hash here."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from gapforge.circuit import build_deterministic, certify_goodness, serialize_circuit
 from gapforge.cli import main
 from gapforge.csp import serialize
 from gapforge.sampler import SamplerParams, build_sampler_family, serialize_family
@@ -90,6 +92,24 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+# sha256 of serialize_circuit and of the certificate JSON (as certify
+# --out-cert writes it) for build_deterministic(1024, seed=0): seven sampler
+# layers of degrees 896 down to 14, then three full fan-in layers
+GOLDEN_DET_1024 = (
+    "52527640c53a5a62964a044112b336f80ae0d90f5cce090dcb19517e6e89657c",
+    "8c89fa248b9101bd721e93c2068c02c58a9d44d6cd648cb61ff03888dc2aab90",
+)
+
+
+def test_det_1024_matches_golden():
+    c = build_deterministic(1024, seed=0)
+    cert = json.dumps(certify_goodness(c).to_doc(), sort_keys=True, indent=2) + "\n"
+    assert (
+        hashlib.sha256(serialize_circuit(c).encode()).hexdigest(),
+        hashlib.sha256(cert.encode()).hexdigest(),
+    ) == GOLDEN_DET_1024
 
 
 # family -> (degree, repr(measured_lambda), sha256 of serialize_family)

@@ -11,10 +11,12 @@ from gapforge.errors import ResourceCapError
 from gapforge.oracle import (
     brute_force_opt,
     chernoff_tail,
+    clause_sat_matrix,
     estimate,
     exhaustive_layer_check,
     is_satisfiable,
     lll_condition,
+    satisfied_counts_vector,
 )
 from gapforge.util import derive_seed, rng_from
 
@@ -59,6 +61,35 @@ class TestBruteForce:
     def test_is_satisfiable(self):
         assert is_satisfiable(random_3sat(6, 5, 2))
         assert not is_satisfiable(unit_pair_instance(2, 4, (0,)))
+
+    def test_counts_match_clause_sat_matrix(self):
+        rng = rng_from(23)
+        for n, m, seed in ((3, 1, 0), (6, 20, 1), (10, 64, 2), (12, 40, 3)):
+            inst = random_3sat(n, m, seed)
+            words = rng.integers(0, 1 << n, size=300).astype(np.uint64)
+            for assignments in (np.arange(1 << n, dtype=np.uint64), words):
+                counts = satisfied_counts_vector(inst, assignments)
+                want = clause_sat_matrix(inst, assignments).sum(axis=0)
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, want)
+        inst = unit_pair_instance(4, 12, (0, 1))
+        block = np.arange(16, dtype=np.uint64)
+        assert np.array_equal(
+            satisfied_counts_vector(inst, block),
+            clause_sat_matrix(inst, block).sum(axis=0),
+        )
+
+
+    def test_multi_block_sweep_matches_one_block(self):
+        # 2^17 assignments span several sweep blocks; ties break low across
+        # blocks as within one
+        inst = random_3sat(17, 60, 8)
+        counts = satisfied_counts_vector(inst, np.arange(1 << 17, dtype=np.uint64))
+        rep = brute_force_opt(inst)
+        j = int(np.argmax(counts))
+        assert rep.optimum == Fraction(int(counts[j]), 60)
+        assert rep.argmax == tuple((j >> v) & 1 for v in range(17))
+        assert is_satisfiable(inst) == bool(counts[j] == 60)
 
 
 class TestLayerCheck:

@@ -24,6 +24,8 @@ from gapforge.sampler import (
     second_eigenvalue,
     second_eigenvalue_dense,
     serialize_family,
+    trace_lambda_bound,
+    trace_lambda_sq_bound,
 )
 from gapforge.util import derive_seed, rng_from
 
@@ -154,6 +156,37 @@ class TestSecondEigenvalue:
             full = second_eigenvalue(g, 1e-8)
             for stop in (full, full + 1e-9, 0.99):
                 assert second_eigenvalue(g, 1e-8, stop_above=stop) == full
+
+
+class TestTraceBound:
+    def test_bounds_dense_lambda_on_expanders(self):
+        for N in (10, 16, 32, 48, 64):
+            for D in (3, 4, 6, N // 2, N - 2):
+                if (N * D) % 2:
+                    continue
+                g = build_expander(N, D, seed=N + D)
+                bound = trace_lambda_bound(g)
+                assert bound >= second_eigenvalue_dense(g) - 1e-12
+                assert bound == pytest.approx((N / D - 1) ** 0.5, rel=1e-12)
+                assert trace_lambda_sq_bound(g) == Fraction(N - D, D)
+
+    def test_complete_graph(self):
+        for N in (4, 8, 16):
+            g = build_expander(N, N - 1, seed=0)
+            assert trace_lambda_sq_bound(g) == Fraction(1, N - 1)
+            assert trace_lambda_bound(g) == pytest.approx((N - 1) ** -0.5)
+            assert second_eigenvalue_dense(g) == pytest.approx(1 / (N - 1))
+
+    def test_multigraph_counts_repeated_neighbors(self):
+        # 4-regular on 4 vertices: edges {0,1} and {2,3} twice, every other
+        # pair once
+        adj = ((1, 1, 3, 2), (0, 0, 2, 3), (1, 3, 3, 0), (2, 2, 0, 1))
+        g = RegularGraph(4, 4, adj)
+        # S = 4 vertices * (2^2 + 1 + 1) = 24, so lambda^2 <= 24/16 - 1
+        assert trace_lambda_sq_bound(g) == Fraction(1, 2)
+        assert trace_lambda_bound(g) >= second_eigenvalue_dense(g) - 1e-12
+        # the simple-graph formula sqrt(N/D - 1) would give 0 here
+        assert second_eigenvalue_dense(g) > 0.4
 
 
 PARAMS = SamplerParams(
