@@ -43,13 +43,17 @@ from .util import (
     frac_str,
     parse_frac,
     rng_from,
+    sorted_rows,
     threshold_count,
 )
 
 LayerString = tuple  # 0/1 bits, one per gate of a layer
 
-DEGENERATE_CUTOFF = 8
+DEGENERATE_CUTOFF = 8  # widths at or below this get full fan-in layers
 EXHAUSTIVE_CAP = 18
+FAN_IN_CAP = 64  # largest fan-in auto_fan_in tries
+PROBE_SEEDS = 48  # wirings auto_fan_in draws to estimate the seed-failure rate
+PROBE_CERT_TRIALS = 48  # certify_goodness trials on auto_fan_in's probe circuit
 
 
 @dataclass(frozen=True)
@@ -133,18 +137,12 @@ class RobustCircuit:
     def __post_init__(self):
         if not (0 < self.theta < 1):
             raise GapforgeError("theta must lie in (0, 1)")
-        arrays = []
-        for rows in self.layers:
-            try:
-                idx = np.asarray(rows, dtype=np.int64)
-            except ValueError:
-                raise GapforgeError("gates in one layer differ in fan-in") from None
-            if idx.ndim != 2 or idx.shape[1] == 0:
-                raise GapforgeError("a layer needs gates with at least one input")
-            idx = np.sort(idx, axis=1)  # a copy, so freezing it is safe
-            idx.setflags(write=False)
-            arrays.append(idx)
-        self.layers = tuple(arrays)
+        self.layers = tuple(
+            sorted_rows(rows, "gates in one layer differ in fan-in")
+            for rows in self.layers
+        )
+        if any(idx.ndim != 2 or idx.shape[1] == 0 for idx in self.layers):
+            raise GapforgeError("a layer needs gates with at least one input")
 
     def __eq__(self, other):
         if not isinstance(other, RobustCircuit):
@@ -221,7 +219,6 @@ def build_deterministic(
     params: SamplerParams | None = None,
     seed: int = 0,
     scheme: ThresholdScheme = DEFAULT_SCHEME,
-    degenerate_cutoff: int = DEGENERATE_CUTOFF,
 ) -> RobustCircuit:
     """Sampler-wired circuit with halving widths down to one top gate.
 
@@ -250,7 +247,7 @@ def build_deterministic(
     meta = []
     for i in range(1, depth + 1):
         w_in, w_out = width_at(m, i - 1), width_at(m, i)
-        if w_in <= degenerate_cutoff:
+        if w_in <= DEGENERATE_CUTOFF:
             layers.append(np.tile(np.arange(w_in), (w_out, 1)))
             meta.append(LayerWiring(kind="full", degree=w_in))
         else:
@@ -508,13 +505,12 @@ def certify_goodness(
     exhaustive_cap: int = EXHAUSTIVE_CAP,
     trials: int = 64,
     seed: int = 0,
-    mean_in: Fraction | None = None,
-    mean_out: Fraction | None = None,
 ) -> GoodnessCertificate:
-    """Layer-by-layer damping certificate. Failures are verdicts, not errors."""
+    """Layer-by-layer damping certificate at the circuit scheme's mean_in and
+    mean_out (the default scheme's when the circuit has none). Failures are
+    verdicts, not errors."""
     scheme = c.scheme or DEFAULT_SCHEME
-    mi = mean_in if mean_in is not None else scheme.mean_in
-    mo = mean_out if mean_out is not None else scheme.mean_out
+    mi, mo = scheme.mean_in, scheme.mean_out
     verdicts = []
     for layer in range(1, c.depth + 1):
         idx, thr = c.layers[layer - 1], c.fire_count(layer)
@@ -593,31 +589,28 @@ def seed_failure_event(
 def auto_fan_in(
     m: int,
     master_seed: int,
-    f_cap: int = 64,
     scheme: ThresholdScheme = DEFAULT_SCHEME,
-    probe_seeds: int = 48,
-    cert_trials: int = 48,
 ) -> tuple[int, GoodnessCertificate]:
-    """Smallest fan-in <= f_cap whose wiring certifies: the damping verdicts
-    pass on a probe circuit and the empirical seed-failure rate of honest
-    completeness stays within the 1/m^(1/4) budget."""
+    """Smallest fan-in <= FAN_IN_CAP whose wiring certifies: the damping
+    verdicts pass on a probe circuit and the empirical seed-failure rate of
+    honest completeness stays within the 1/m^(1/4) budget."""
     target = 1.0 / (m ** 0.25)
-    for f in range(2, f_cap + 1):
+    for f in range(2, FAN_IN_CAP + 1):
         probe = build_randomized(m, f, derive_seed(master_seed, f), scheme)
         cert = certify_goodness(
-            probe, trials=cert_trials, seed=derive_seed(master_seed, f, 1)
+            probe, trials=PROBE_CERT_TRIALS, seed=derive_seed(master_seed, f, 1)
         )
         if not cert.passed:
             continue
         rate = estimate(
             seed_failure_event(m, f, scheme),
-            trials=probe_seeds,
+            trials=PROBE_SEEDS,
             master_seed=derive_seed(master_seed, f, 2),
         )
         if float(rate.frequency) <= target:
             return f, cert
     raise InfeasibleParametersError(
-        f"no fan-in <= {f_cap} passes certification at m={m}"
+        f"no fan-in <= {FAN_IN_CAP} passes certification at m={m}"
     )
 
 
@@ -627,10 +620,7 @@ def auto_fan_in(
 
 
 def serialize_circuit(c: RobustCircuit) -> str:
-    header = (
-        f"rcirc {c.m} {c.depth} {c.variant} "
-        f"{c.theta.numerator}/{c.theta.denominator}"
-    )
+    header = f"rcirc {c.m} {c.depth} {c.variant} {frac_str(c.theta)}"
     lines = [header]
     for idx in c.layers:
         lines.extend(" ".join(map(str, row)) for row in idx.tolist())

@@ -26,6 +26,7 @@ from .transform import (
     greedy_adversary,
     transform,
 )
+from .util import frac_str, parse_frac
 
 SCHEMA = "gapforge-report/1"
 
@@ -51,7 +52,16 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("GAPFORGE_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise GapforgeError(f"GAPFORGE_SEED must be an integer, got {env!r}") from None
+
+
+def fraction(text: str) -> Fraction:
+    """argparse type for rationals such as 3/4, named for argparse's "invalid
+    fraction value" message; unlike Fraction it rejects 1/0 with ValueError."""
+    return parse_frac(text)
 
 
 def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
@@ -67,17 +77,11 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
         epsilon=scheme.slack, delta=scheme.soundness, gamma=scheme.theta
     )
     for layer in range(1, c.depth + 1):
-        sets = tuple(map(tuple, c.layers[layer - 1].tolist()))
-        if any(len(set(s)) != len(s) for s in sets):
+        idx = c.layers[layer - 1]
+        if (idx[:, 1:] == idx[:, :-1]).any():  # rows are sorted: a repeat
             docs.append({"layer": layer, "skipped": "multiset wiring"})
             continue
-        fam = sampler.SamplerFamily(
-            ground_size=c.width_in(layer),
-            sets=sets,
-            params=params,
-            provenance=sampler.PROVENANCE_EXPLICIT,
-            measured_lambda=None,
-        )
+        fam = sampler.family_from_sets(c.width_in(layer), idx, params)
         corpus = sampler.adversarial_corpus(fam, seed)
         rep = sampler.certify_sampler(fam, corpus)
         doc = rep.to_doc()
@@ -151,17 +155,15 @@ def cmd_transform(args) -> int:
         adv = exhaustive_adversary(ts, cap=args.adversary_cap)
         doc["soundness"] = {
             "mode": "exhaustive",
-            "max_acceptance": f"{adv.value.numerator}/{adv.value.denominator}",
+            "max_acceptance": frac_str(adv.value),
         }
     elif args.adversary == "greedy":
         val, _ = greedy_adversary(ts, seed=seed)
         doc["soundness"] = {
             "mode": "greedy-lower-bound",
-            "greedy_acceptance": f"{val.numerator}/{val.denominator}",
+            "greedy_acceptance": frac_str(val),
             "analytical_bound": (
-                None
-                if circ.scheme is None
-                else f"{circ.scheme.new_soundness.numerator}/{circ.scheme.new_soundness.denominator}"
+                None if circ.scheme is None else frac_str(circ.scheme.new_soundness)
             ),
         }
     _emit(doc, args.report)
@@ -206,8 +208,8 @@ def cmd_gap_reduce(args) -> int:
     seed = _seed(args)
     base = _load_instance(args.input)
     p = gapeth.ReductionParams(
-        s=Fraction(args.s),
-        epsilon=Fraction(args.eps),
+        s=args.s,
+        epsilon=args.eps,
         k=args.k,
         t=args.t,
         seed=seed,
@@ -218,11 +220,11 @@ def cmd_gap_reduce(args) -> int:
         "seed": seed,
         "mode": args.mode,
         "params": {
-            "s": f"{p.s.numerator}/{p.s.denominator}",
-            "epsilon": f"{p.epsilon.numerator}/{p.epsilon.denominator}",
+            "s": frac_str(p.s),
+            "epsilon": frac_str(p.epsilon),
             "k": p.k,
             "t": p.t,
-            "k_condition_value": f"{p.k_condition_value.numerator}/{p.k_condition_value.denominator}",
+            "k_condition_value": frac_str(p.k_condition_value),
             "k_condition_ok": p.k_condition_ok,
         },
     }
@@ -311,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap-reduce", help="run a gap reduction / solver driver")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("one-sided", "two-sided"), default="one-sided")
-    p.add_argument("--s", type=str, default="3/4")
-    p.add_argument("--eps", type=str, default="1/4")
+    p.add_argument("--s", type=fraction, default="3/4")
+    p.add_argument("--eps", type=fraction, default="1/4")
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--t", type=int, default=32)
     p.add_argument("--trials", type=int, default=64)

@@ -48,13 +48,13 @@ class ReductionParams:
 
     def __post_init__(self):
         if not (0 < self.s < 1):
-            raise ValueError("s must lie in (0, 1)")
+            raise GapforgeError("s must lie in (0, 1)")
         if not (0 < self.epsilon):
-            raise ValueError("epsilon must be positive")
+            raise GapforgeError("epsilon must be positive")
         if self.s * (1 + self.epsilon) > 1:
-            raise ValueError("s(1+epsilon) must not exceed 1")
+            raise GapforgeError("s(1+epsilon) must not exceed 1")
         if self.k < 1 or self.t < 1:
-            raise ValueError("k and t must be positive")
+            raise GapforgeError("k and t must be positive")
 
     @property
     def threshold(self) -> Fraction:
@@ -428,7 +428,7 @@ def reduce_one_sided(
         return canonical_no_instance(L), report
     thr_count = threshold_count(p.threshold, fam.set_size)
     n = base.num_vars
-    samples = np.asarray(lst.entries)[np.asarray(fam.sets, dtype=np.int64)]
+    samples = np.asarray(lst.entries)[fam.sets]
     if n > 16 or (1 << n) > table_cap:
         clauses = [_threshold_clause(base, row, thr_count, table_cap) for row in samples]
         return CspInstance(n, tuple(clauses)), report
@@ -619,7 +619,6 @@ def one_sided_sweep(
     L_len = p.t * m
     _validate_family(fam, p, L_len)
     M = _pattern_sat_matrix(base)
-    sets = np.asarray(fam.sets, dtype=np.int64)
     thr_count = threshold_count(p.threshold, fam.set_size)
     heavy_size = floor_frac(p.s * m)
     light_size = floor_frac(p.s * (1 + p.epsilon) * m)
@@ -642,7 +641,7 @@ def one_sided_sweep(
             opt = canonical_opt
         else:
             balanced_trials += 1
-            sat = _set_counts(entries[sets], M) >= float(thr_count)
+            sat = _set_counts(entries[fam.sets], M) >= float(thr_count)
             opt = Fraction(int(sat.sum(axis=0, dtype=np.int64).max()), L_len)
         if opt > best:
             best = opt

@@ -17,7 +17,7 @@ import numpy as np
 
 from .csp import CspInstance, clause_values
 from .errors import ResourceCapError
-from .util import derive_seed, floor_frac, threshold_count, wilson_interval
+from .util import derive_seed, floor_frac, frac_str, threshold_count, wilson_interval
 
 DEFAULT_ASSIGNMENT_CAP = 24
 LAYER_WIDTH_CAP = 22
@@ -38,7 +38,7 @@ class OracleReport:
 
     def to_doc(self) -> dict:
         return {
-            "optimum": f"{self.optimum.numerator}/{self.optimum.denominator}",
+            "optimum": frac_str(self.optimum),
             "argmax": "".join(map(str, self.argmax)),
             "enumeration_size": self.enumeration_size,
             "degenerate": self.degenerate,
@@ -133,7 +133,7 @@ class LayerCheckReport:
             "num_gates": self.num_gates,
             "strings_checked": self.strings_checked,
             "worst_output_count": self.worst_output_count,
-            "worst_output_mean": f"{self.worst_output_mean.numerator}/{self.worst_output_mean.denominator}",
+            "worst_output_mean": frac_str(self.worst_output_mean),
             "witness": None if self.witness is None else "".join(map(str, self.witness)),
         }
 
@@ -241,7 +241,7 @@ class EstimateReport:
         return {
             "successes": self.successes,
             "trials": self.trials,
-            "frequency": f"{self.frequency.numerator}/{self.frequency.denominator}",
+            "frequency": frac_str(self.frequency),
             "wilson_low": self.wilson_low,
             "wilson_high": self.wilson_high,
             "master_seed": self.master_seed,

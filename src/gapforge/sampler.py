@@ -16,11 +16,10 @@ asymptotic constants: a family is considered usable only after
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,34 +29,40 @@ from .errors import (
     IterationCapError,
     ParseError,
 )
-from .util import derive_seed, frac_str, parse_frac, rng_from, threshold_count
+from .util import derive_seed, frac_str, parse_frac, rng_from, sorted_rows, threshold_count
 
 DEFAULT_DEGREE_SCHEDULE = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 _POWER_ITER_CAP = 5000
+EXPANDER_RESTARTS = 64  # seeded attempts build_expander makes per (N, D)
+_REPAIR_SWEEPS = 400  # swap-repair rounds per configuration-model draw
+SWAP_CANDIDATES = 24  # swaps swap_climb tries per round before it stops
 
 
 @dataclass(frozen=True)
 class RegularGraph:
-    """Undirected D-regular multigraph as per-vertex neighbor lists."""
+    """Undirected D-regular multigraph. adjacency is a read-only (N, D) int64
+    array whose row v holds vertex v's neighbors in sorted order, repeats
+    kept; __post_init__ builds it from any sequence of equal-length rows."""
 
     num_vertices: int
     degree: int
-    adjacency: tuple[tuple[int, ...], ...]
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if len(self.adjacency) != self.num_vertices:
-            raise GapforgeError("adjacency length does not match vertex count")
-        for row in self.adjacency:
-            if len(row) != self.degree:
-                raise GapforgeError("vertex without exactly D neighbor entries")
-        # symmetry of the edge multiset: the sorted keys u*N+v of all entries
-        # equal the sorted keys v*N+u of their reverses
         N = self.num_vertices
-        v = np.array(self.adjacency, dtype=np.int64).reshape(-1)
-        u = np.repeat(np.arange(N, dtype=np.int64), self.degree)
-        if v.size and (v.min() < 0 or v.max() >= N):
+        adj = sorted_rows(self.adjacency, "vertex without exactly D neighbor entries")
+        if len(adj) != N:
+            raise GapforgeError("adjacency length does not match vertex count")
+        if adj.ndim != 2 or adj.shape[1] != self.degree:
+            raise GapforgeError("vertex without exactly D neighbor entries")
+        if adj.size and (adj[:, 0].min() < 0 or adj[:, -1].max() >= N):
             raise GapforgeError("neighbor entry outside the vertex set")
-        fwd, rev = np.sort(u * N + v), np.sort(v * N + u)
+        object.__setattr__(self, "adjacency", adj)
+        # symmetry of the edge multiset: the keys u*N+v of all entries (sorted,
+        # as the rows are) equal the sorted keys v*N+u of their reverses
+        u = np.arange(N, dtype=np.int64)[:, None]
+        fwd = (u * N + adj).ravel()
+        rev = np.sort((adj * N + u).ravel())
         bad = np.flatnonzero(fwd != rev)
         if bad.size:
             # the smaller key at the first difference has unequal counts
@@ -66,31 +71,37 @@ class RegularGraph:
                 f"edge multiset not symmetric at ({key // N},{key % N})"
             )
 
-    def neighbor_matrix(self) -> np.ndarray:
-        return np.array(self.adjacency, dtype=np.int64)
+    def __eq__(self, other):
+        if not isinstance(other, RegularGraph):
+            return NotImplemented
+        return np.array_equal(self.adjacency, other.adjacency)  # shape is (N, D)
 
-    def is_connected(self) -> bool:
-        seen = bytearray(self.num_vertices)
-        queue = deque([0])
-        seen[0] = 1
-        reached = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    reached += 1
-                    queue.append(v)
-        return reached == self.num_vertices
+    def connected_non_bipartite(self) -> bool:
+        """One level-synchronous BFS from vertex 0: the graph is connected iff
+        every vertex gets a level, and then non-bipartite iff some edge joins
+        two vertices on the same level (an odd cycle). An edge joins equal or
+        adjacent levels, so comparing level parities is the same test with a
+        bool (N, D) temporary instead of an int64 one."""
+        adj = self.adjacency
+        level = np.full(self.num_vertices, -1, dtype=np.int64)
+        level[0] = 0
+        frontier = np.zeros(1, dtype=np.int64)
+        depth = 0
+        while frontier.size:
+            depth += 1
+            reached = adj[frontier].ravel()
+            level[reached[level[reached] < 0]] = depth
+            frontier = np.flatnonzero(level == depth)
+        odd = (level % 2).astype(bool)
+        return bool((level >= 0).all() and (odd[adj] == odd[:, None]).any())
 
 
-def _pairing_graph(N: int, D: int, rng: np.random.Generator,
-                   repair_sweeps: int = 400) -> list[set[int]] | None:
+def _pairing_graph(N: int, D: int, rng: np.random.Generator) -> list[set[int]] | None:
     """One configuration-model draw repaired to a simple graph, or None."""
     stubs = np.repeat(np.arange(N, dtype=np.int64), D)
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
-    for _ in range(repair_sweeps):
+    for _ in range(_REPAIR_SWEEPS):
         u, v = pairs[:, 0], pairs[:, 1]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         keys = lo * N + hi
@@ -120,24 +131,6 @@ def _pairing_graph(N: int, D: int, rng: np.random.Generator,
 def _complement_adjacency(adj_sets: list[set[int]], N: int) -> list[set[int]]:
     full = set(range(N))
     return [full - s - {v} for v, s in enumerate(adj_sets)]
-
-
-def _is_bipartite(adj_sets: list[set[int]], N: int) -> bool:
-    color = [-1] * N
-    for start in range(N):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj_sets[u]:
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
 
 
 def _circulant_sets(N: int, D: int) -> list[set[int]]:
@@ -181,20 +174,15 @@ def _swap_randomize(adj_sets: list[set[int]], N: int, rng, tries: int) -> list[s
     return adj_sets
 
 
-def build_expander(
-    N: int,
-    D: int,
-    seed: int,
-    restarts: int = 64,
-) -> RegularGraph:
+def build_expander(N: int, D: int, seed: int) -> RegularGraph:
     """Seeded connected non-bipartite simple D-regular graph on N vertices.
 
     Sparse degrees (directly or through the complement) come from random stub
     pairing with local swap repair; mid densities from a circulant randomized
     by double-edge swaps. Bipartite draws are resampled: their walk matrix
     has |eigenvalue| 1 and they are useless as samplers. Deterministic for a
-    fixed seed; raises when the parameters are infeasible or every restart
-    fails.
+    fixed seed; raises when the parameters are infeasible or all
+    EXPANDER_RESTARTS attempts fail.
     """
     if D < 3:
         raise InfeasibleParametersError("degree must be at least 3")
@@ -203,14 +191,11 @@ def build_expander(
     if (N * D) % 2 != 0:
         raise InfeasibleParametersError(f"N*D must be even, got N={N} D={D}")
     if D == N - 1:
-        adj = tuple(
-            tuple(v for v in range(N) if v != u) for u in range(N)
-        )
-        return RegularGraph(N, D, adj)
+        return RegularGraph(N, D, [[v for v in range(N) if v != u] for u in range(N)])
     use_complement = D > (N - 1) // 2
     build_deg = (N - 1 - D) if use_complement else D
     sparse = build_deg <= max(3, N // 4)
-    for attempt in range(restarts):
+    for attempt in range(EXPANDER_RESTARTS):
         rng = rng_from(derive_seed(seed, N, D, attempt))
         adj_sets: list[set[int]] | None
         if not sparse:
@@ -239,14 +224,12 @@ def build_expander(
             adj_sets = _complement_adjacency(adj_sets, N)
         if any(len(s) != D for s in adj_sets):
             continue
-        graph = RegularGraph(
-            N, D, tuple(tuple(sorted(s)) for s in adj_sets)
-        )
-        if graph.is_connected() and not _is_bipartite(adj_sets, N):
+        graph = RegularGraph(N, D, [list(s) for s in adj_sets])
+        if graph.connected_non_bipartite():
             return graph
     raise InfeasibleParametersError(
         f"no connected non-bipartite simple {D}-regular graph found on "
-        f"{N} vertices after {restarts} restarts"
+        f"{N} vertices after {EXPANDER_RESTARTS} restarts"
     )
 
 
@@ -276,7 +259,6 @@ def second_eigenvalue(
     it returns without stop_above.
     """
     N, D = g.num_vertices, g.degree
-    nbrs = g.neighbor_matrix()
     b = max(2, min(8, N - 2))
     rng = rng_from(derive_seed(0xE16E, N, D))
     V = rng.standard_normal((N, b))
@@ -285,8 +267,8 @@ def second_eigenvalue(
         return M - M.mean(axis=0, keepdims=True)
 
     def walk_sq(M: np.ndarray) -> np.ndarray:
-        out = M[nbrs].sum(axis=1) / D
-        out = out[nbrs].sum(axis=1) / D
+        out = M[g.adjacency].sum(axis=1) / D
+        out = out[g.adjacency].sum(axis=1) / D
         return deflate(out)
 
     V, _ = np.linalg.qr(deflate(V))
@@ -317,13 +299,13 @@ def trace_lambda_sq_bound(g: RegularGraph) -> Fraction:
     W is symmetric, so tr(W^2) = sum_i lambda_i^2 = S / D^2, where S is the
     sum over ordered pairs (u, v) of mult(u, v)^2; dropping the eigenvalue 1
     of the all-ones vector leaves every other lambda_i^2 at most S / D^2 - 1.
-    S is read off the run lengths of the sorted keys u*N + v, so repeated
-    neighbors of a multigraph count. S >= D^2 by Cauchy-Schwarz on each row,
-    so the value is never negative. A simple graph has S = N * D.
+    S is read off the run lengths of the keys u*N + v, which are sorted
+    because the adjacency rows are, so repeated neighbors of a multigraph
+    count. S >= D^2 by Cauchy-Schwarz on each row, so the value is never
+    negative. A simple graph has S = N * D.
     """
     N, D = g.num_vertices, g.degree
-    rows = np.sort(g.neighbor_matrix(), axis=1)
-    keys = (np.arange(N, dtype=np.int64)[:, None] * N + rows).ravel()  # sorted
+    keys = (np.arange(N, dtype=np.int64)[:, None] * N + g.adjacency).ravel()
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     runs = np.diff(np.r_[starts, keys.size])
     S = int((runs * runs).sum())
@@ -340,9 +322,7 @@ def second_eigenvalue_dense(g: RegularGraph) -> float:
     """Dense eigendecomposition cross-check (small N only)."""
     N, D = g.num_vertices, g.degree
     W = np.zeros((N, N))
-    for u, row in enumerate(g.adjacency):
-        for v in row:
-            W[u, v] += 1.0 / D
+    np.add.at(W, (np.repeat(np.arange(N), D), g.adjacency.ravel()), 1.0 / D)
     vals = np.sort(np.abs(np.linalg.eigvalsh(W)))[::-1]
     return float(vals[1])
 
@@ -373,16 +353,18 @@ PROVENANCE_EXPLICIT = "explicit-list"
 
 @dataclass(frozen=True)
 class SamplerFamily:
-    """A set family over [N]: one sorted index tuple per set, all equal size.
+    """A set family over [N]. sets is a read-only (num_sets, C) int64 array,
+    one sorted row of distinct elements per set; __post_init__ builds it from
+    any sequence of equal-length sets.
 
-    expander-derived families keep the lexicographically first floor(N/2)
-    neighbor sets of a verified expander; expander-full families keep all N
-    (that is what the one-sided reduction consumes); explicit-list families
-    come from serialized text and carry no graph.
+    expander-derived families keep the neighbor sets of the first floor(N/2)
+    vertices of a verified expander; expander-full families keep all N (that
+    is what the one-sided reduction consumes); explicit-list families come
+    from serialized text and carry no graph.
     """
 
     ground_size: int
-    sets: tuple[tuple[int, ...], ...]
+    sets: np.ndarray
     params: SamplerParams
     provenance: str
     measured_lambda: float | None = None
@@ -390,35 +372,40 @@ class SamplerFamily:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.provenance == PROVENANCE_HALVED and len(self.sets) != self.ground_size // 2:
+        sets = sorted_rows(self.sets, "sets must share one cardinality")
+        if sets.size == 0:  # no sets, or only empty ones: still two axes
+            sets = sets.reshape(len(sets), 0)
+        if self.provenance == PROVENANCE_HALVED and len(sets) != self.ground_size // 2:
             raise GapforgeError("halved family must hold floor(N/2) sets")
-        if self.provenance == PROVENANCE_FULL and len(self.sets) != self.ground_size:
+        if self.provenance == PROVENANCE_FULL and len(sets) != self.ground_size:
             raise GapforgeError("full family must hold N sets")
-        sizes = {len(s) for s in self.sets}
-        if len(sizes) > 1:
-            raise GapforgeError("sets must share one cardinality")
-        for s in self.sets:
-            if len(set(s)) != len(s):
-                raise GapforgeError("set with repeated elements")
-            if any(not (0 <= x < self.ground_size) for x in s):
-                raise GapforgeError("set element outside the ground set")
+        if (sets[:, 1:] == sets[:, :-1]).any():
+            raise GapforgeError("set with repeated elements")
+        if sets.size and (sets[:, 0].min() < 0 or sets[:, -1].max() >= self.ground_size):
+            raise GapforgeError("set element outside the ground set")
+        object.__setattr__(self, "sets", sets)
+
+    def __eq__(self, other):
+        if not isinstance(other, SamplerFamily):
+            return NotImplemented
+        rest = ("ground_size", "params", "provenance", "measured_lambda", "degree", "seed")
+        return np.array_equal(self.sets, other.sets) and all(
+            getattr(self, f) == getattr(other, f) for f in rest
+        )
 
     @property
     def set_size(self) -> int:
-        return len(self.sets[0]) if self.sets else 0
+        return self.sets.shape[1]
 
     def incidence(self) -> np.ndarray:
         mat = np.zeros((len(self.sets), self.ground_size), dtype=np.uint8)
-        for i, s in enumerate(self.sets):
-            mat[i, list(s)] = 1
+        np.put_along_axis(mat, self.sets, 1, axis=1)
         return mat
 
     @cached_property
     def _intersection_degree(self) -> int:
         # only the int is kept: the incidence matrix is rebuilt per use so
         # that a family costs no more memory than its sets
-        if not self.sets:
-            return 0
         # float32 takes the BLAS path and is exact (overlaps are at most
         # set_size); 256-row blocks keep the overlap matrix small.
         inc = self.incidence().astype(np.float32)
@@ -439,10 +426,9 @@ def _family_from_graph(
     keep: int,
     provenance: str,
 ) -> SamplerFamily:
-    sets = tuple(tuple(sorted(graph.adjacency[v])) for v in range(keep))
     return SamplerFamily(
         ground_size=graph.num_vertices,
-        sets=sets,
+        sets=graph.adjacency[:keep],
         params=params,
         provenance=provenance,
         measured_lambda=lam,
@@ -509,14 +495,10 @@ def build_full_family(
 
 
 def family_from_sets(
-    ground_size: int, sets: Iterable[Sequence[int]], params: SamplerParams
+    ground_size: int, sets: Sequence[Sequence[int]] | np.ndarray, params: SamplerParams
 ) -> SamplerFamily:
-    return SamplerFamily(
-        ground_size=ground_size,
-        sets=tuple(tuple(sorted(s)) for s in sets),
-        params=params,
-        provenance=PROVENANCE_EXPLICIT,
-    )
+    """Explicit-list family over [ground_size]: the rows of sets, sorted."""
+    return SamplerFamily(ground_size, sets, params, PROVENANCE_EXPLICIT)
 
 
 def intersection_degree(fam: SamplerFamily) -> int:
@@ -590,7 +572,10 @@ def certify_sampler(
     corpus: Sequence[tuple[str, Sequence[int]]] | Sequence[Sequence[int]],
 ) -> SamplerReport:
     """Exact per-string property checks over every set of the family; all
-    counts are exact rationals."""
+    counts are exact rationals.
+
+    `passed` is a check over the given corpus only (in practice the 13
+    strings of adversarial_corpus): no counterexample found, not a proof."""
     labeled: list[tuple[str, Sequence[int]]] = []
     for i, entry in enumerate(corpus):
         if isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str):
@@ -663,14 +648,13 @@ def swap_climb(
     below: bool,
     seed: int,
     rounds: int,
-    candidates: int = 24,
 ) -> tuple[int, np.ndarray]:
     """Hill-climb one<->zero swaps at fixed popcount to maximize the number of
     rows whose count of ones is below (or at or above) its threshold.
 
     by_pos is a positions x rows count matrix (how often each position feeds
     each row); thresholds is one count per row, or one for all rows. Each
-    round tries up to `candidates` seeded (one, zero) pairs and keeps the
+    round tries up to SWAP_CANDIDATES seeded (one, zero) pairs and keeps the
     first swap that raises the score; a round without one ends the climb.
     Returns (best score, string).
     """
@@ -687,7 +671,7 @@ def swap_climb(
         zero_pos = np.flatnonzero(vec == 0)
         if not ones_pos.size or not zero_pos.size:
             break
-        for _ in range(candidates):
+        for _ in range(SWAP_CANDIDATES):
             p = int(ones_pos[rng.integers(ones_pos.size)])
             q = int(zero_pos[rng.integers(zero_pos.size)])
             trial = counts - by_pos[p] + by_pos[q]
@@ -768,7 +752,7 @@ def serialize_family(fam: SamplerFamily) -> str:
         f"{frac_str(fam.params.gamma)} {lam}"
     )
     lines = [header]
-    lines.extend(" ".join(map(str, s)) for s in fam.sets)
+    lines.extend(" ".join(map(str, s)) for s in fam.sets.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -800,7 +784,7 @@ def parse_family(text: str) -> SamplerFamily:
         sets.append(s)
     fam = SamplerFamily(
         ground_size=N,
-        sets=tuple(sets),
+        sets=sets,
         params=params,
         provenance=PROVENANCE_EXPLICIT,
         measured_lambda=lam,

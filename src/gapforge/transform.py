@@ -272,7 +272,8 @@ def exhaustive_adversary(
     ts: TransformedSystem, cap: int = DEFAULT_ADVERSARY_CAP
 ) -> AdversaryReport:
     """Exact max acceptance over all 2^bits proofs, with the lowest-valued
-    maximizing proof as witness."""
+    maximizing proof as witness. Kept independent of export_checks_csp, whose
+    brute-force optimum is the same value: each is the other's cross-check."""
     bits = ts.proof_length
     if bits > cap:
         raise ResourceCapError(f"{bits} proof bits exceeds adversary cap {cap}")
@@ -358,7 +359,9 @@ def export_checks_csp(
     ts: TransformedSystem, table_cap: int = 1 << 22
 ) -> CspInstance:
     """The check family as a native truth-table CSP over the proof bits, so a
-    transformed system can round-trip through the instance tooling."""
+    transformed system can round-trip through the instance tooling. Its
+    brute-force optimum is exhaustive_adversary's value: each is the other's
+    independent cross-check."""
     clauses = []
     for j in range(ts.num_checks):
         chk = ts.check(j)

@@ -1,4 +1,5 @@
-"""Small shared helpers: seeding, exact rounding, Wilson intervals."""
+"""Small shared helpers: seeding, exact rounding, Wilson intervals, and the
+read-only index arrays of circuit layers, expander graphs and families."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from fractions import Fraction
 from math import sqrt
 
 import numpy as np
+
+from .errors import GapforgeError
 
 # z quantile for a two-sided 99% Wilson score interval (Phi^-1(0.995))
 Z99 = 2.5758293035489004
@@ -61,4 +64,21 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    return Fraction(text)
+    """Fraction(text), raising ValueError (not ZeroDivisionError) on 1/0."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def sorted_rows(rows, ragged: str) -> np.ndarray:
+    """rows as a read-only int64 array with every row sorted (a copy, so the
+    caller's data is never frozen); GapforgeError(ragged) when the rows
+    differ in length."""
+    try:
+        idx = np.array(rows, dtype=np.int64)
+    except ValueError:
+        raise GapforgeError(ragged) from None
+    idx.sort(axis=-1)
+    idx.setflags(write=False)
+    return idx

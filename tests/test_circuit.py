@@ -325,6 +325,8 @@ class TestSerialization:
         text = serialize_circuit(c)
         with pytest.raises(ParseError):
             parse_circuit(text.replace("rcirc 8 3", "rcirc 8 4", 1))
+        with pytest.raises(ParseError):  # a zero denominator, not ZeroDivisionError
+            parse_circuit(text.replace("deterministic 4/5", "deterministic 1/0", 1))
         lines = text.splitlines()
         lines[1] = "0 1 999"
         with pytest.raises(ParseError):

@@ -234,3 +234,29 @@ class TestEnvSeed:
         ])
         assert code == 0
         assert json.loads(report.read_text())["seed"] == 7
+
+
+class TestMalformedNumbers:
+    """Malformed numeric input is a usage error (exit 2) reported on stderr,
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, env_seed, bad",
+        [
+            (["gap-reduce", "--s", "abc"], None, "'abc'"),
+            (["gap-reduce", "--s", "1/0"], None, "'1/0'"),
+            (["gap-reduce", "--s", "3/2"], None, "s must lie in (0, 1)"),
+            (["transform", "--waive-cert"], "xyz", "GAPFORGE_SEED"),
+        ],
+    )
+    def test_exit_two_with_message(
+        self, toy_cnf, monkeypatch, capsys, command, env_seed, bad
+    ):
+        if env_seed is None:
+            monkeypatch.delenv("GAPFORGE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GAPFORGE_SEED", env_seed)
+        assert run([*command, "--input", toy_cnf]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("gapforge") and bad in err[-1]
+        assert not any("Traceback" in line for line in err)

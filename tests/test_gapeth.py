@@ -39,9 +39,9 @@ def small_params(**kw) -> ReductionParams:
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GapforgeError):
             ReductionParams(s=Fraction(3, 4), epsilon=Fraction(1, 2), k=8, t=2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(GapforgeError):
             ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=0, t=2, seed=0)
 
     def test_paper_normalization(self):

@@ -1,6 +1,8 @@
 """Expander construction, spectral measurement, family certification."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -30,10 +32,22 @@ from gapforge.sampler import (
 from gapforge.util import derive_seed, rng_from
 
 
+# two disjoint copies of K4, and a 3-regular bipartite graph on 4 + 4 vertices
+TWO_K4 = tuple(
+    tuple(u + off for u in range(4) if u != v) for off in (0, 4) for v in range(4)
+)
+BIPARTITE_CUBIC = tuple(
+    tuple((v + k) % 4 + 4 for k in range(3)) if v < 4
+    else tuple((v - 4 - k) % 4 for k in range(3))
+    for v in range(8)
+)
+
+
 class TestBuildExpander:
     def test_k4(self):
         g = build_expander(4, 3, seed=0)
-        assert g.adjacency == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+        assert g.adjacency.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        assert not g.adjacency.flags.writeable
 
     def test_determinism(self):
         a = build_expander(20, 6, seed=123)
@@ -57,11 +71,33 @@ class TestBuildExpander:
             if (N * D) % 2:
                 continue
             g = build_expander(N, D, seed=7)
-            assert g.is_connected()
+            assert g.connected_non_bipartite()
             for v, row in enumerate(g.adjacency):
                 assert len(row) == D
                 assert len(set(row)) == D  # simple
                 assert v not in row  # loop-free
+
+    def test_connected_non_bipartite(self):
+        assert build_expander(4, 3, seed=0).connected_non_bipartite()  # K4
+        assert not RegularGraph(8, 3, TWO_K4).connected_non_bipartite()
+        assert not RegularGraph(8, 3, BIPARTITE_CUBIC).connected_non_bipartite()
+        # circulant C_N(a, b): connected iff gcd(N, a, b) = 1, and then
+        # bipartite iff N is even and both offsets are odd
+        for N in (8, 9, 12, 15, 16):
+            for a, b in combinations(range(1, (N + 1) // 2), 2):
+                adj = [[(v + d) % N for d in (a, -a, b, -b)] for v in range(N)]
+                want = gcd(N, a, b) == 1 and not (N % 2 == 0 and a % 2 and b % 2)
+                assert RegularGraph(N, 4, adj).connected_non_bipartite() == want
+
+    def test_malformed_adjacency_rejected(self):
+        for N, D, adj, msg in (
+            (4, 3, ((1, 2, 3), (0, 2), (0, 1, 3), (0, 1, 2)), "exactly D"),
+            (4, 2, ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)), "exactly D"),
+            (5, 3, ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)), "vertex count"),
+            (4, 3, ((1, 2, 4), (0, 2, 3), (0, 1, 3), (0, 1, 2)), "outside"),
+        ):
+            with pytest.raises(GapforgeError, match=msg):
+                RegularGraph(N, D, adj)
 
     def test_asymmetric_edge_rejected(self):
         # directed 4-cycle: (0, 1) is an entry, (1, 0) is not
@@ -112,11 +148,7 @@ class TestSecondEigenvalue:
             assert second_eigenvalue(g, 1e-9) == pytest.approx(1.0 / D, abs=1e-9)
 
     def test_disconnected_two_components(self):
-        half = build_expander(4, 3, seed=0)
-        adj = tuple(tuple(x for x in row) for row in half.adjacency) + tuple(
-            tuple(x + 4 for x in row) for row in half.adjacency
-        )
-        g = RegularGraph(8, 3, adj)
+        g = RegularGraph(8, 3, TWO_K4)
         assert second_eigenvalue(g, 1e-9) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_n16(self):
@@ -130,12 +162,7 @@ class TestSecondEigenvalue:
 
     def test_bipartite_absolute_value(self):
         # 3-regular bipartite: eigenvalue -1, so the absolute second is 1
-        adj = tuple(
-            tuple((v + k) % 4 + 4 for k in range(3)) if v < 4
-            else tuple((v - 4 - k) % 4 for k in range(3))
-            for v in range(8)
-        )
-        g = RegularGraph(8, 3, adj)
+        g = RegularGraph(8, 3, BIPARTITE_CUBIC)
         assert second_eigenvalue(g, 1e-9) == pytest.approx(1.0, abs=1e-8)
 
     def test_early_stop_is_a_lower_bound_above_stop(self):
@@ -220,7 +247,7 @@ class TestFamilies:
     def test_serialize_round_trip(self):
         fam = build_sampler_family(PARAMS, 32, seed=1)
         parsed = parse_family(serialize_family(fam))
-        assert parsed.sets == fam.sets
+        assert np.array_equal(parsed.sets, fam.sets)
         assert (parsed.params.epsilon, parsed.params.delta, parsed.params.gamma) == (
             fam.params.epsilon,
             fam.params.delta,
@@ -274,8 +301,22 @@ class TestFamilies:
         assert len(built) == 1
 
     def test_family_invariants_enforced(self):
-        with pytest.raises(GapforgeError):
-            family_from_sets(4, [(0, 1), (1, 1)], PARAMS)
+        for sets, msg in (
+            ([(0, 1), (1, 1)], "repeated elements"),
+            ([(0, 1), (2,)], "one cardinality"),
+            ([(0, 1), (1, 4)], "outside the ground set"),
+            ([(0, 1), (-1, 2)], "outside the ground set"),
+        ):
+            with pytest.raises(GapforgeError, match=msg):
+                family_from_sets(4, sets, PARAMS)
+
+    def test_sets_are_sorted_read_only_rows(self):
+        fam = family_from_sets(4, [(3, 0), (2, 1)], PARAMS)
+        assert fam.sets.tolist() == [[0, 3], [1, 2]]
+        assert not fam.sets.flags.writeable
+        assert fam.incidence().tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+        assert fam == family_from_sets(4, [(0, 3), (1, 2)], PARAMS)
+        assert fam != family_from_sets(4, [(0, 3), (1, 3)], PARAMS)
 
 
 def _reference_search(params, N, seed, degree_schedule=None):
