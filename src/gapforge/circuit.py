@@ -620,23 +620,91 @@ def auto_fan_in(
 
 
 def serialize_circuit(c: RobustCircuit) -> str:
-    header = f"rcirc {c.m} {c.depth} {c.variant} {frac_str(c.theta)}"
+    """The .rcirc text: a header, then one line of input positions per gate.
+
+    The header is "rcirc m depth variant theta" when that restores the
+    circuit's scheme on parsing (the default scheme at its own theta, or no
+    scheme at another theta), and "rcirc/2 m depth variant theta c s"
+    otherwise, carrying the scheme's (c, s) gap.
+    """
+    fields = f"{c.m} {c.depth} {c.variant} {frac_str(c.theta)}"
+    if c.scheme in (None, _v1_scheme(c.theta)):
+        header = f"rcirc {fields}"
+    else:
+        s = c.scheme
+        header = f"rcirc/2 {fields} {frac_str(s.completeness)} {frac_str(s.soundness)}"
     lines = [header]
     for idx in c.layers:
         lines.extend(" ".join(map(str, row)) for row in idx.tolist())
     return "\n".join(lines) + "\n"
 
 
+def _v1_scheme(theta: Fraction) -> ThresholdScheme | None:
+    """The scheme a v1 header implies: the default one at its theta."""
+    return DEFAULT_SCHEME if theta == DEFAULT_SCHEME.theta else None
+
+
+def _scan_gate_lines(lines: list[str], first: int, w: int, w_in: int) -> list:
+    """Gate lines first..first + w - 1 one at a time, raising the ParseError
+    of the first faulty line: a bad token, then an input out of range, then
+    a fan-in that differs from the layer's first gate."""
+    rows = []
+    for cursor in range(first, first + w):
+        try:
+            inputs = [int(t) for t in lines[cursor].split()]
+        except ValueError:
+            raise ParseError("bad gate line", cursor + 1) from None
+        if any(not (0 <= p < w_in) for p in inputs):
+            raise ParseError(
+                f"gate input outside previous layer of width {w_in}", cursor + 1
+            )
+        if rows and len(inputs) != len(rows[0]):
+            raise ParseError(
+                f"gate fan-in {len(inputs)} differs from its layer's "
+                f"{len(rows[0])}",
+                cursor + 1,
+            )
+        rows.append(inputs)
+    return rows
+
+
+def _gate_rows(lines: list[str], first: int, w: int, w_in: int) -> np.ndarray:
+    """Gate lines first..first + w - 1 as one (w, fan_in) int64 array.
+
+    numpy reads each token with int(), so a bad token or ragged rows fail
+    the conversion; only then are the lines scanned one at a time to find
+    the first faulty one and its message."""
+    try:
+        rows = np.array([ln.split() for ln in lines[first : first + w]], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return np.array(_scan_gate_lines(lines, first, w, w_in), dtype=np.int64)
+    outside = ((rows < 0) | (rows >= w_in)).any(axis=1)
+    if outside.any():
+        raise ParseError(
+            f"gate input outside previous layer of width {w_in}",
+            first + int(outside.argmax()) + 1,
+        )
+    return rows
+
+
 def parse_circuit(text: str) -> RobustCircuit:
+    """Parse .rcirc text, v1 or rcirc/2. A v1 header carries no scheme: the
+    circuit gets the default scheme when its theta is the default's, and
+    none otherwise. Line numbers count non-blank lines."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("rcirc"):
         raise ParseError("missing rcirc header", 1)
     toks = lines[0].split()
-    if len(toks) != 5 or toks[3] not in ("deterministic", "randomized"):
+    v2 = toks[0] == "rcirc/2"
+    if len(toks) != (7 if v2 else 5) or toks[3] not in ("deterministic", "randomized"):
         raise ParseError("malformed rcirc header", 1)
     try:
         m, depth = int(toks[1]), int(toks[2])
         theta = parse_frac(toks[4])
+        if v2:
+            scheme = ThresholdScheme(parse_frac(toks[5]), parse_frac(toks[6]))
+        else:
+            scheme = _v1_scheme(theta)
     except ValueError:
         raise ParseError("malformed rcirc header", 1) from None
     widths = [width_at(m, i) for i in range(1, depth + 1)]
@@ -645,35 +713,16 @@ def parse_circuit(text: str) -> RobustCircuit:
             f"expected {sum(widths)} gate lines, found {len(lines) - 1}", 1
         )
     layers = []
-    cursor = 1
+    first = 1
     for layer_idx, w in enumerate(widths, start=1):
-        w_in = width_at(m, layer_idx - 1)
-        rows = []
-        for _ in range(w):
-            try:
-                inputs = [int(t) for t in lines[cursor].split()]
-            except ValueError:
-                raise ParseError("bad gate line", cursor + 1) from None
-            if any(not (0 <= p < w_in) for p in inputs):
-                raise ParseError(
-                    f"gate input outside previous layer of width {w_in}", cursor + 1
-                )
-            if rows and len(inputs) != len(rows[0]):
-                raise ParseError(
-                    f"gate fan-in {len(inputs)} differs from its layer's "
-                    f"{len(rows[0])}",
-                    cursor + 1,
-                )
-            rows.append(inputs)
-            cursor += 1
-        layers.append(rows)
+        layers.append(_gate_rows(lines, first, w, width_at(m, layer_idx - 1)))
+        first += w
     variant = toks[3]
     fan_in = None
     if variant == "randomized" and layers:
-        sizes = {len(rows[0]) for rows in layers}
+        sizes = {idx.shape[1] for idx in layers}
         if len(sizes) == 1:
             fan_in = sizes.pop()
-    scheme = DEFAULT_SCHEME if theta == DEFAULT_SCHEME.theta else None
     return RobustCircuit(
         m=m,
         depth=depth,

@@ -21,6 +21,7 @@ from . import circuit as circuit_mod
 from . import csp, gapeth, oracle, sampler
 from .errors import GapforgeError, ParseError, ResourceCapError
 from .transform import (
+    DEFAULT_ADVERSARY_CAP,
     export_checks_csp,
     exhaustive_adversary,
     greedy_adversary,
@@ -69,13 +70,11 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
 
     Randomized layers are multisets and are skipped (goodness verdicts cover
     them). The families are explicit lists with no spectral data, so no
-    report carries the mixing line.
+    report carries the mixing line. The circuit must carry its scheme.
     """
     docs = []
-    scheme = c.scheme or circuit_mod.DEFAULT_SCHEME
-    params = sampler.SamplerParams(
-        epsilon=scheme.slack, delta=scheme.soundness, gamma=scheme.theta
-    )
+    s = c.scheme
+    params = sampler.SamplerParams(epsilon=s.slack, delta=s.soundness, gamma=s.theta)
     for layer in range(1, c.depth + 1):
         idx = c.layers[layer - 1]
         if (idx[:, 1:] == idx[:, :-1]).any():  # rows are sorted: a repeat
@@ -173,6 +172,12 @@ def cmd_transform(args) -> int:
 def cmd_certify(args) -> int:
     seed = _seed(args)
     circ = circuit_mod.parse_circuit(Path(args.circuit).read_text())
+    if circ.scheme is None:
+        raise GapforgeError(
+            f"{args.circuit} carries no (c, s) scheme and its theta "
+            f"{frac_str(circ.theta)} is not the default's; "
+            "write it with an rcirc/2 header to certify it"
+        )
     cert = circuit_mod.certify_goodness(
         circ, exhaustive_cap=args.exhaustive_cap, trials=args.trials, seed=seed
     )
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--adversary", choices=("none", "exhaustive", "greedy"),
                    default="none", help="also bound the transformed soundness")
-    p.add_argument("--adversary-cap", type=int, default=24)
+    p.add_argument("--adversary-cap", type=int, default=DEFAULT_ADVERSARY_CAP)
     p.add_argument("--out-circuit", type=str, default=None)
     p.add_argument("--export-checks", type=str, default=None)
     common(p)

@@ -319,18 +319,83 @@ class TestSerialization:
             parse_circuit("\n".join(lines) + "\n")
 
     def test_header_and_gate_errors(self):
-        with pytest.raises(ParseError):
-            parse_circuit("rcirc 8 3\n")
         c = build_deterministic(8, seed=0)
         text = serialize_circuit(c)
-        with pytest.raises(ParseError):
-            parse_circuit(text.replace("rcirc 8 3", "rcirc 8 4", 1))
-        with pytest.raises(ParseError):  # a zero denominator, not ZeroDivisionError
-            parse_circuit(text.replace("deterministic 4/5", "deterministic 1/0", 1))
         lines = text.splitlines()
-        lines[1] = "0 1 999"
-        with pytest.raises(ParseError):
-            parse_circuit("\n".join(lines) + "\n")
+
+        def with_lines(**edits):
+            out = list(lines)
+            for k, v in edits.items():
+                out[int(k[1:])] = v
+            return "\n".join(out) + "\n"
+
+        # (text, line, message) for each ParseError kind; a line lists gate
+        # faults in the order they are reported: a bad token, then an input
+        # out of range, then a fan-in mismatch
+        cases = [
+            ("", 1, "missing rcirc header"),
+            ("circ 8 3\n", 1, "missing rcirc header"),
+            ("rcirc 8 3\n", 1, "malformed rcirc header"),
+            (text.replace("deterministic", "determ", 1), 1, "malformed rcirc header"),
+            (text.replace("rcirc 8 3", "rcirc 8 x", 1), 1, "malformed rcirc header"),
+            # a zero denominator, not ZeroDivisionError
+            (text.replace("deterministic 4/5", "deterministic 1/0", 1), 1,
+             "malformed rcirc header"),
+            (text.replace("rcirc 8 3", "rcirc 8 4", 1), 1,
+             "expected 8 gate lines, found 7"),
+            (with_lines(l1="0 1 999"), 2,
+             "gate input outside previous layer of width 8"),
+            (with_lines(l2="0 1 -1 3 4 5 6 7"), 3,
+             "gate input outside previous layer of width 8"),
+            (with_lines(l1="0 1 2 3 4 5 6 99999999999999999999"), 2,
+             "gate input outside previous layer of width 8"),
+            (with_lines(l2="0 x 2"), 3, "bad gate line"),
+            (with_lines(l1="0 1 2 3 4 5 6 0x1"), 2, "bad gate line"),
+            (with_lines(l2="0 1 2 3 4 5 6 99 x"), 3, "bad gate line"),
+            (with_lines(l2="0 1 2 3 4 5 6 99 7"), 3,
+             "gate input outside previous layer of width 8"),
+            (with_lines(l2="0 1"), 3, "gate fan-in 2 differs from its layer's 8"),
+            (with_lines(l6="0 1 5"), 7, "gate input outside previous layer of width 4"),
+            # faults on two lines: the first one is reported
+            (with_lines(l3="0 1 2 3 4 5 6 9", l5="0 y"), 4,
+             "gate input outside previous layer of width 8"),
+            (with_lines(l2="0 1", l5="0 y"), 3, "gate fan-in 2 differs from its layer's 8"),
+            (with_lines(l5="0 y", l6="0 1 9"), 6, "bad gate line"),
+        ]
+        for bad, line, message in cases:
+            with pytest.raises(ParseError) as info:
+                parse_circuit(bad)
+            assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+        # int() spellings are read as they always were
+        for token in ("+3", "٣", "-0", "00"):
+            parsed = parse_circuit(with_lines(l1="0 1 2 3 4 5 6 " + token))
+            assert parsed.layers[0].shape == (4, 8)
+
+    def test_rcirc2_round_trip_keeps_scheme(self):
+        scheme = ThresholdScheme(Fraction(4, 5), Fraction(1, 2))
+        c = build_deterministic(64, seed=1, scheme=scheme)
+        text = serialize_circuit(c)
+        assert text.splitlines()[0] == "rcirc/2 64 6 deterministic 7/10 4/5 1/2"
+        parsed = parse_circuit(text)
+        assert parsed == c and parsed.scheme == scheme
+        assert serialize_circuit(parsed) == text
+        want = certify_goodness(c, seed=3).to_doc()
+        assert want["passed"] and want["mean_in"] == "3/5"
+        assert certify_goodness(parsed, seed=3).to_doc() == want
+        with pytest.raises(ParseError, match="line 1: malformed rcirc header"):
+            parse_circuit(text.replace("4/5 1/2", "1/2 4/5", 1))  # s >= c
+
+    def test_default_scheme_keeps_v1_header(self):
+        for c in (build_deterministic(16, seed=0), build_randomized(16, f=3, seed=0)):
+            assert serialize_circuit(c).startswith(f"rcirc 16 {c.depth} ")
+            assert parse_circuit(serialize_circuit(c)).scheme == DEFAULT_SCHEME
+        # no scheme, another theta: nothing to carry, and nothing restored
+        bare = RobustCircuit(
+            m=4, depth=1, theta=Fraction(1, 2), variant="deterministic",
+            layers=(((0, 1, 2, 3),) * 2,),
+        )
+        assert serialize_circuit(bare).startswith("rcirc 4 1 deterministic 1/2\n")
+        assert parse_circuit(serialize_circuit(bare)).scheme is None
 
 
 def test_scheme_from_gap():

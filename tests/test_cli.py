@@ -1,10 +1,12 @@
 """Command-line behavior: exit codes, report determinism, error mapping."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from gapforge.circuit import DEFAULT_SCHEME, RobustCircuit, serialize_circuit
 from gapforge.cli import main
 from gapforge.csp import CspInstance, disjunction, serialize
 
@@ -163,21 +165,24 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+def _shared_input_circuit(scheme):
+    """Every gate reads its whole previous layer at theta 1/2, so a 7/10
+    input fires every gate of layer 1."""
+    m = 10
+    widths = [5, 3, 2, 1]
+    layers = [[tuple(range(m))] * widths[0]]
+    for prev_w, w in zip(widths, widths[1:]):
+        layers.append([tuple(range(prev_w))] * w)
+    return RobustCircuit(
+        m=m, depth=4, theta=Fraction(1, 2), variant="deterministic",
+        layers=tuple(layers), scheme=scheme,
+    )
+
+
 class TestVerifiedFailure:
     def test_bad_circuit_exits_one_with_witness(self, tmp_path):
-        from fractions import Fraction
-        from gapforge.circuit import RobustCircuit, serialize_circuit
-
-        m = 10
-        theta = Fraction(1, 2)
-        widths = [5, 3, 2, 1]
-        layers = [[tuple(range(m))] * widths[0]]
-        for prev_w, w in zip(widths, widths[1:]):
-            layers.append([tuple(range(prev_w))] * w)
-        bad = RobustCircuit(
-            m=m, depth=4, theta=theta, variant="deterministic",
-            layers=tuple(layers),
-        )
+        # the file carries the default scheme in an rcirc/2 header
+        bad = _shared_input_circuit(DEFAULT_SCHEME)
         path = tmp_path / "bad.rcirc"
         path.write_text(serialize_circuit(bad))
         report = tmp_path / "cert.json"
@@ -189,6 +194,31 @@ class TestVerifiedFailure:
         doc = json.loads(report.read_text())
         assert not doc["certificate"]["passed"]
         assert any(v["witness"] for v in doc["certificate"]["layers"])
+
+    def test_rcirc2_scheme_certified(self, tmp_path):
+        from gapforge.circuit import ThresholdScheme, build_deterministic
+
+        scheme = ThresholdScheme(Fraction(4, 5), Fraction(1, 2))
+        path = tmp_path / "s.rcirc"
+        path.write_text(serialize_circuit(build_deterministic(16, seed=0, scheme=scheme)))
+        report = tmp_path / "cert.json"
+        assert run(["certify", "--circuit", str(path), "--report", str(report)]) == 0
+        cert = json.loads(report.read_text())["certificate"]
+        assert (cert["mean_in"], cert["mean_out"]) == ("3/5", "1/2")
+
+    def test_unknown_scheme_refused(self, tmp_path, capsys):
+        path = tmp_path / "bare.rcirc"
+        path.write_text(serialize_circuit(_shared_input_circuit(None)))
+        report = tmp_path / "cert.json"
+        code = run([
+            "certify", "--circuit", str(path), "--seed", "0",
+            "--report", str(report),
+        ])
+        assert code == 2
+        assert not report.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gapforge: ")
+        assert "no (c, s) scheme" in err[0]
 
 
 class TestAdversaryFlag:

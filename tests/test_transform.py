@@ -1,7 +1,9 @@
 """The proof-system transform: checks, accounting, adversaries, export."""
 
+import importlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapforge.circuit import build_deterministic, build_randomized, certify_goodness
@@ -11,8 +13,9 @@ from gapforge.errors import (
     ResourceCapError,
     ShapeMismatchError,
 )
-from gapforge.oracle import brute_force_opt
+from gapforge.oracle import brute_force_opt, clause_sat_matrix
 from gapforge.transform import (
+    AdversaryReport,
     ProofString,
     acceptance_probability,
     exhaustive_adversary,
@@ -25,6 +28,56 @@ from gapforge.transform import (
 )
 
 from conftest import random_3sat, unit_pair_instance
+
+# the package's transform() function shadows its module as an attribute
+transform_mod = importlib.import_module("gapforge.transform")
+
+
+def reference_adversary(ts) -> AdversaryReport:
+    """Reference for exhaustive_adversary: every proof integer in blocks of
+    2^20, each check evaluated bit by bit, the first maximum kept."""
+    bits = ts.proof_length
+    m = ts.base.num_clauses
+    widths = ts.layer_widths()
+    d = ts.circuit.depth
+    n = ts.base.num_vars
+    offsets = [ts.layer_offset(i) for i in range(d + 1)]
+    best_count, best_proof = -1, 0
+    chunk = 1 << 20
+    total = 1 << bits
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        block = np.arange(lo, hi, dtype=np.uint64)
+        x_as_int = block & np.uint64((1 << n) - 1)
+        clause_sat = clause_sat_matrix(ts.base, x_as_int)  # m x chunk
+        layer_bits = []
+        for i in range(d + 1):
+            mat = np.empty((widths[i], block.size), dtype=np.uint8)
+            for g in range(widths[i]):
+                mat[g] = (block >> np.uint64(offsets[i] + g)) & np.uint64(1)
+            layer_bits.append(mat)
+        accept_count = np.zeros(block.size, dtype=np.int32)
+        recomputed = []
+        for i in range(1, d + 1):
+            idx = ts.circuit.layers[i - 1]
+            sums = layer_bits[i - 1][idx].sum(axis=1, dtype=np.int16)
+            recomputed.append((sums >= ts.circuit.fire_count(i)).astype(np.uint8))
+        for j in range(m):
+            ok = clause_sat[j] == layer_bits[0][j]
+            for i in range(1, d + 1):
+                g = j % widths[i]
+                ok = ok & (recomputed[i - 1][g] == layer_bits[i][g])
+            ok = ok & (layer_bits[d][j % widths[d]] == 1)
+            accept_count += ok
+        k = int(np.argmax(accept_count))
+        if int(accept_count[k]) > best_count:
+            best_count = int(accept_count[k])
+            best_proof = lo + k
+    return AdversaryReport(
+        value=Fraction(best_count, m),
+        witness=proof_from_int(ts, best_proof),
+        proofs_enumerated=total,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -219,12 +272,93 @@ class TestAdversaries:
             flipped = proof_from_int(ts, value ^ (1 << b))
             assert acceptance_probability(ts, flipped) <= 1
 
+    def test_soundness_at_28_bits(self, det_circuits):
+        inst = unit_pair_instance(13, 8, (0, 5, 9))
+        assert brute_force_opt(inst).optimum <= Fraction(6, 10)
+        c, cert = det_circuits[8]
+        ts = transform(inst, c, certificate=cert)
+        assert ts.proof_length == 28
+        rep = exhaustive_adversary(ts, cap=28)
+        assert rep.value <= Fraction(9, 10)
+        assert rep.proofs_enumerated == 1 << 28
+        assert acceptance_probability(ts, rep.witness) == rep.value
+
     def test_greedy_below_exhaustive_and_deterministic(self, low_system):
         ex = exhaustive_adversary(low_system)
         g1, p1 = greedy_adversary(low_system, restarts=4, seed=3)
         g2, p2 = greedy_adversary(low_system, restarts=4, seed=3)
         assert g1 <= ex.value
         assert (g1, p1) == (g2, p2)
+
+
+def _det_system(base, m=8):
+    return transform(base, build_deterministic(m, seed=0), waive_certificate=True)
+
+
+# name -> transformed system; proof bits = n + 2m - 1 on a det circuit
+KERNEL_SYSTEMS = {
+    # the golden adversary.json input: 17 proof bits
+    "golden-17": lambda: _det_system(unit_pair_instance(2, 8, (0,))),
+    # the cli_commands NO input shape: 24 bits, 16 blocks of gate bits
+    "no-24": lambda: _det_system(unit_pair_instance(9, 8, (0, 4))),
+    "3sat-20": lambda: _det_system(random_3sat(5, 8, 21)),
+    "3sat-22": lambda: _det_system(random_3sat(7, 8, 22)),
+    # every proof with x_0 = 1 and honest gate bits accepts: many tie at 1
+    "sat-ties": lambda: _det_system(
+        CspInstance(4, tuple(disjunction([(0, True)]) for _ in range(8)))
+    ),
+    # multiset wiring, fan-in 3, two layers: 5 + 8 + 6 = 19 bits
+    "randomized": lambda: transform(
+        random_3sat(5, 8, 4), build_randomized(8, f=3, seed=1), waive_certificate=True
+    ),
+    # 2^9 assignments, 7 gate bits: 16 bits
+    "m4-3sat": lambda: _det_system(random_3sat(9, 4, 5), m=4),
+    # the lowest maximizing assignment is 256; every x >= 256 ties with it
+    "m4-late-ties": lambda: _det_system(
+        CspInstance(9, tuple(disjunction([(8, True)]) for _ in range(4))), m=4
+    ),
+}
+
+
+def _same_as_reference(ts):
+    got = exhaustive_adversary(ts)
+    want = reference_adversary(ts)
+    assert (got.value, got.witness, got.proofs_enumerated) == (
+        want.value, want.witness, want.proofs_enumerated
+    )
+    return got
+
+
+class TestAdversaryKernel:
+    """exhaustive_adversary against the bit-by-bit reference enumerator."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+    def test_matches_reference(self, name):
+        _same_as_reference(KERNEL_SYSTEMS[name]())
+
+    def test_tie_break_lowest_proof(self):
+        rep = exhaustive_adversary(KERNEL_SYSTEMS["sat-ties"]())
+        assert rep.value == 1
+        assert rep.witness.x == (1, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "name, entries",
+        [
+            # 31 gate-bit rows per block, the last block partial
+            ("golden-17", 1000),
+            ("sat-ties", 1000),
+            ("randomized", 1000),
+            # one row per block, the 512 assignments in tiles of 100
+            ("m4-3sat", 100),
+            ("m4-late-ties", 100),
+        ],
+    )
+    def test_small_blocks_match_reference(self, monkeypatch, name, entries):
+        monkeypatch.setattr(transform_mod, "_BLOCK_ENTRIES", entries)
+        rep = _same_as_reference(KERNEL_SYSTEMS[name]())
+        if name == "m4-late-ties":
+            assert rep.value == 1
+            assert rep.witness.x == tuple(int(v == 8) for v in range(9))
 
 
 class TestExport:
