@@ -51,9 +51,9 @@ LayerString = tuple  # 0/1 bits, one per gate of a layer
 
 DEGENERATE_CUTOFF = 8  # widths at or below this get full fan-in layers
 EXHAUSTIVE_CAP = 18
+CERT_TRIALS = 64  # certify_goodness's seeded strings per statistical layer
 FAN_IN_CAP = 64  # largest fan-in auto_fan_in tries
 PROBE_SEEDS = 48  # wirings auto_fan_in draws to estimate the seed-failure rate
-PROBE_CERT_TRIALS = 48  # certify_goodness trials on auto_fan_in's probe circuit
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,7 @@ class RobustCircuit:
             and self.depth == other.depth
             and self.theta == other.theta
             and self.variant == other.variant
+            and self.scheme == other.scheme
             and len(self.layers) == len(other.layers)
             and all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
         )
@@ -474,43 +475,46 @@ def _worst_statistical(
     seed: int,
 ) -> tuple[int, int, int]:
     """(worst fired count, witness int, strings tested): seeded random strings
-    at the extreme admissible popcount, clustered blocks, and greedy search."""
+    at the extreme admissible popcount, clustered blocks, and greedy search.
+
+    All strings are scored by one float32 product of the (strings x w_in)
+    matrix and the multiplicity matrix, exact because no count exceeds the
+    fan-in; the first string with the most fired gates seeds the climb."""
     mult = _gate_multiplicity(idx, w_in)
     rng = rng_from(seed)
-    strings: list[np.ndarray] = []
-    for _ in range(max(1, trials - 4)):
-        vec = np.zeros(w_in, dtype=np.int16)
-        vec[rng.permutation(w_in)[:in_cap]] = 1
-        strings.append(vec)
-    for block_start in (0, w_in - in_cap, (w_in - in_cap) // 2):
-        vec = np.zeros(w_in, dtype=np.int16)
-        vec[block_start : block_start + in_cap] = 1
-        strings.append(vec)
-    worst, witness_vec = -1, strings[0]
-    for vec in strings:
-        fired = int(((vec @ mult) >= thr).sum())
-        if fired > worst:
-            worst, witness_vec = fired, vec
+    n_random = max(1, trials - 4)
+    strings = np.zeros((n_random + 3, w_in), dtype=np.int16)
+    for r in range(n_random):
+        strings[r, rng.permutation(w_in)[:in_cap]] = 1
+    for r, block_start in enumerate(
+        (0, w_in - in_cap, (w_in - in_cap) // 2), start=n_random
+    ):
+        strings[r, block_start : block_start + in_cap] = 1
+    product = strings.astype(np.float32) @ mult.astype(np.float32)
+    fired = (product >= thr).sum(axis=1)
+    first = int(fired.argmax())
+    worst, witness_vec = int(fired[first]), strings[first]
     g_best, g_vec = swap_climb(
         mult, thr, witness_vec, below=False, seed=derive_seed(seed, 0xA77), rounds=400
     )
     if g_best > worst:
         worst, witness_vec = g_best, g_vec
     witness = sum(int(b) << i for i, b in enumerate(witness_vec))
-    return worst, witness, len(strings) + 1
+    return worst, witness, strings.shape[0] + 1
 
 
 def certify_goodness(
     c: RobustCircuit,
     exhaustive_cap: int = EXHAUSTIVE_CAP,
-    trials: int = 64,
+    trials: int = CERT_TRIALS,
     seed: int = 0,
 ) -> GoodnessCertificate:
     """Layer-by-layer damping certificate at the circuit scheme's mean_in and
-    mean_out (the default scheme's when the circuit has none). Failures are
-    verdicts, not errors."""
-    scheme = c.scheme or DEFAULT_SCHEME
-    mi, mo = scheme.mean_in, scheme.mean_out
+    mean_out. Failures are verdicts, not errors; a circuit without a scheme
+    has no bounds to certify and raises GapforgeError."""
+    if c.scheme is None:
+        raise GapforgeError("the circuit carries no (c, s) scheme to certify against")
+    mi, mo = c.scheme.mean_in, c.scheme.mean_out
     verdicts = []
     for layer in range(1, c.depth + 1):
         idx, thr = c.layers[layer - 1], c.fire_count(layer)
@@ -590,16 +594,20 @@ def auto_fan_in(
     m: int,
     master_seed: int,
     scheme: ThresholdScheme = DEFAULT_SCHEME,
-) -> tuple[int, GoodnessCertificate]:
-    """Smallest fan-in <= FAN_IN_CAP whose wiring certifies: the damping
-    verdicts pass on a probe circuit and the empirical seed-failure rate of
-    honest completeness stays within the 1/m^(1/4) budget."""
+    exhaustive_cap: int = EXHAUSTIVE_CAP,
+    trials: int = CERT_TRIALS,
+) -> tuple[RobustCircuit, GoodnessCertificate]:
+    """The circuit build_randomized(m, f, master_seed, scheme) at the smallest
+    fan-in f <= FAN_IN_CAP that certifies, with its passing certificate.
+
+    A fan-in certifies when the damping verdicts pass on that very circuit
+    (certify_goodness at exhaustive_cap, trials and master_seed) and the
+    empirical seed-failure rate of honest completeness over other wirings
+    stays within the 1/m^(1/4) budget."""
     target = 1.0 / (m ** 0.25)
     for f in range(2, FAN_IN_CAP + 1):
-        probe = build_randomized(m, f, derive_seed(master_seed, f), scheme)
-        cert = certify_goodness(
-            probe, trials=PROBE_CERT_TRIALS, seed=derive_seed(master_seed, f, 1)
-        )
+        c = build_randomized(m, f, master_seed, scheme)
+        cert = certify_goodness(c, exhaustive_cap, trials, seed=master_seed)
         if not cert.passed:
             continue
         rate = estimate(
@@ -608,7 +616,7 @@ def auto_fan_in(
             master_seed=derive_seed(master_seed, f, 2),
         )
         if float(rate.frequency) <= target:
-            return f, cert
+            return c, cert
     raise InfeasibleParametersError(
         f"no fan-in <= {FAN_IN_CAP} passes certification at m={m}"
     )

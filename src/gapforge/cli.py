@@ -93,22 +93,26 @@ def cmd_transform(args) -> int:
     seed = _seed(args)
     base = _load_instance(args.input)
     m = base.num_clauses
+    found = None  # auto_fan_in's certificate of the circuit it returns
     if args.variant == "det":
         circ = circuit_mod.build_deterministic(m, seed=seed)
+    elif args.fanin is None:
+        circ, found = circuit_mod.auto_fan_in(
+            m, seed, exhaustive_cap=args.exhaustive_cap, trials=args.trials
+        )
     else:
-        f = args.fanin
-        if f is None:
-            f, _ = circuit_mod.auto_fan_in(m, seed)
-        circ = circuit_mod.build_randomized(m, f, seed)
+        circ = circuit_mod.build_randomized(m, args.fanin, seed)
     cert = None
     if args.cert:
         cert = circuit_mod.GoodnessCertificate.from_doc(
             json.loads(Path(args.cert).read_text())
         )
     elif args.certify:
-        cert = circuit_mod.certify_goodness(
-            circ, exhaustive_cap=args.exhaustive_cap, trials=args.trials, seed=seed
-        )
+        cert = found
+        if cert is None:
+            cert = circuit_mod.certify_goodness(
+                circ, exhaustive_cap=args.exhaustive_cap, trials=args.trials, seed=seed
+            )
         if not cert.passed:
             _emit(
                 {
@@ -292,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true", help="certify in-process")
     p.add_argument("--waive-cert", action="store_true")
     p.add_argument("--exhaustive-cap", type=int, default=circuit_mod.EXHAUSTIVE_CAP)
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=int, default=circuit_mod.CERT_TRIALS)
     p.add_argument("--adversary", choices=("none", "exhaustive", "greedy"),
                    default="none", help="also bound the transformed soundness")
     p.add_argument("--adversary-cap", type=int, default=DEFAULT_ADVERSARY_CAP)
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="goodness certificate + sampler reports for a circuit file")
     p.add_argument("--circuit", required=True)
     p.add_argument("--exhaustive-cap", type=int, default=circuit_mod.EXHAUSTIVE_CAP)
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=int, default=circuit_mod.CERT_TRIALS)
     p.add_argument("--out-cert", type=str, default=None)
     common(p)
     p.set_defaults(fn=cmd_certify)

@@ -17,7 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .csp import Clause, CspInstance, clause_values, csp_to_3sat, table_from_bits
+from .csp import (
+    DEFAULT_TABLE_CAP,
+    Clause,
+    CspInstance,
+    clause_values,
+    csp_to_3sat,
+    table_from_bits,
+)
 from .errors import GapforgeError, InfeasibleParametersError, ResourceCapError, ShapeMismatchError
 from .oracle import chernoff_tail, lll_condition
 from .sampler import (
@@ -27,8 +34,6 @@ from .sampler import (
     intersection_degree,
 )
 from .util import derive_seed, floor_frac, frac_str, rng_from, threshold_count
-
-DEFAULT_TABLE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,6 @@ def _threshold_clause(
     base: CspInstance,
     sampled: Sequence[int],
     thr_count: int,
-    table_cap: int,
 ) -> Clause:
     """Clause satisfied iff at least thr_count of the sampled base clauses
     (with multiplicity) hold; scope is the union of their variables."""
@@ -226,9 +230,9 @@ def _threshold_clause(
     used = np.flatnonzero(mult)
     scope = tuple(sorted({v for j in used for v in base.clauses[j].scope}))
     w = len(scope)
-    if (1 << w) > table_cap:
+    if (1 << w) > DEFAULT_TABLE_CAP:
         raise ResourceCapError(
-            f"threshold clause scope of {w} variables exceeds table cap {table_cap}"
+            f"threshold clause scope of {w} variables exceeds table cap {DEFAULT_TABLE_CAP}"
         )
     patterns = np.arange(1 << w, dtype=np.int64)
     bit_of = {v: w - 1 - i for i, v in enumerate(scope)}
@@ -277,9 +281,7 @@ class TwoSidedReport:
 
 
 def reduce_two_sided(
-    base: CspInstance,
-    p: ReductionParams,
-    table_cap: int = DEFAULT_TABLE_CAP,
+    base: CspInstance, p: ReductionParams
 ) -> tuple[CspInstance, TwoSidedReport]:
     """One threshold clause per variable, each over k uniform samples (with
     replacement) of the base clauses.
@@ -291,10 +293,7 @@ def reduce_two_sided(
     rng = rng_from(derive_seed(p.seed, 0x25ED))
     draws = rng.integers(0, m, size=(n, p.k))
     thr_count = threshold_count(p.threshold, p.k)
-    clauses = [
-        _threshold_clause(base, [int(x) for x in row], thr_count, table_cap)
-        for row in draws
-    ]
+    clauses = [_threshold_clause(base, [int(x) for x in row], thr_count) for row in draws]
     inst = CspInstance(n, tuple(clauses))
     return inst, TwoSidedReport(
         params_seed=p.seed,
@@ -400,7 +399,6 @@ def reduce_one_sided(
     base: CspInstance,
     p: ReductionParams,
     fam: SamplerFamily,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> tuple[CspInstance, OneSidedReport]:
     """Balanced-list reduction. Unbalanced lists are rejected in favor of the
     canonical NO instance (flagged in the report), so NO inputs can never
@@ -429,8 +427,8 @@ def reduce_one_sided(
     thr_count = threshold_count(p.threshold, fam.set_size)
     n = base.num_vars
     samples = np.asarray(lst.entries)[fam.sets]
-    if n > 16 or (1 << n) > table_cap:
-        clauses = [_threshold_clause(base, row, thr_count, table_cap) for row in samples]
+    if n > 16:
+        clauses = [_threshold_clause(base, row, thr_count) for row in samples]
         return CspInstance(n, tuple(clauses)), report
     # A set's threshold clause never reads variables outside its scope, so its
     # table is its full-pattern count row at the patterns that are 0 there.
@@ -483,7 +481,6 @@ def solve_driver(
     reduction: str = "one-sided",
     fam: SamplerFamily | None = None,
     convert_to_3sat: bool = False,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> DriverReport:
     """Repeat the chosen reduction with per-trial seeds derived from
     (p.seed, trial index) and return YES iff any output is accepted by the
@@ -504,13 +501,13 @@ def solve_driver(
     for trial in range(trials):
         p_t = replace(p, seed=derive_seed(p.seed, trial))
         if reduction == "one-sided":
-            inst, rep = reduce_one_sided(base, p_t, fam, table_cap)
+            inst, rep = reduce_one_sided(base, p_t, fam)
             rejected = rep.rejected_unbalanced
         else:
-            inst, _ = reduce_two_sided(base, p_t, table_cap)
+            inst, _ = reduce_two_sided(base, p_t)
             rejected = False
         if convert_to_3sat:
-            inst, _ = csp_to_3sat(inst, table_cap)
+            inst, _ = csp_to_3sat(inst)
         try:
             verdict = subroutine(inst)
         except Exception as exc:
@@ -559,6 +556,21 @@ class SweepReport:
         }
 
 
+def _sweep_report(sat_counts: Sequence[int], denominator: int, balanced: int) -> SweepReport:
+    """Tally per-trial optima sat_counts[i] / denominator; the worst trial is
+    the first to reach the largest positive optimum (-1 when none is)."""
+    counts = np.asarray(sat_counts, dtype=np.int64)
+    top = int(counts.max(initial=0))
+    return SweepReport(
+        trials=counts.size,
+        balanced_trials=balanced,
+        max_optimum=Fraction(top, denominator),
+        optima_above_half=int((2 * counts > denominator).sum()),
+        optima_at_one=int((counts == denominator).sum()),
+        worst_trial=int(counts.argmax()) if top > 0 else -1,
+    )
+
+
 def two_sided_sweep(
     base: CspInstance,
     p: ReductionParams,
@@ -574,31 +586,13 @@ def two_sided_sweep(
     n, m = base.num_vars, base.num_clauses
     M = _pattern_sat_matrix(base)
     thr_count = threshold_count(p.threshold, p.k)
-    best = Fraction(0)
-    worst_trial = -1
-    above_half = 0
-    at_one = 0
-    half = Fraction(1, 2)
+    sat_counts = []
     for trial in range(trials):
         seed = derive_seed(derive_seed(p.seed, trial), 0x25ED)
         draws = rng_from(seed).integers(0, m, size=(n, p.k))
         sat = _set_counts(draws, M) >= float(thr_count)
-        opt = Fraction(int(sat.sum(axis=0, dtype=np.int64).max()), n)
-        if opt > best:
-            best = opt
-            worst_trial = trial
-        if opt > half:
-            above_half += 1
-        if opt == 1:
-            at_one += 1
-    return SweepReport(
-        trials=trials,
-        balanced_trials=trials,
-        max_optimum=best,
-        optima_above_half=above_half,
-        optima_at_one=at_one,
-        worst_trial=worst_trial,
-    )
+        sat_counts.append(int(sat.sum(axis=0, dtype=np.int64).max()))
+    return _sweep_report(sat_counts, n, balanced=trials)
 
 
 def one_sided_sweep(
@@ -624,13 +618,8 @@ def one_sided_sweep(
     light_size = floor_frac(p.s * (1 + p.epsilon) * m)
     heavy_bound = p.s * (1 + p.epsilon / 3) * L_len
     light_bound = p.s * (1 + 2 * p.epsilon / 3) * L_len
-    canonical_opt = Fraction(L_len // 2, L_len)
-    best = Fraction(0)
-    worst_trial = -1
     balanced_trials = 0
-    above_half = 0
-    at_one = 0
-    half = Fraction(1, 2)
+    sat_counts = []
     for trial in range(trials):
         seed = derive_seed(derive_seed(p.seed, trial), 0x1157)
         entries = rng_from(seed).integers(0, m, size=L_len)
@@ -638,23 +627,9 @@ def one_sided_sweep(
             np.bincount(entries, minlength=m), heavy_size, light_size
         )
         if not (Fraction(heavy_sum) <= heavy_bound and Fraction(light_sum) >= light_bound):
-            opt = canonical_opt
+            sat_counts.append(L_len // 2)  # the canonical NO instance's optimum
         else:
             balanced_trials += 1
             sat = _set_counts(entries[fam.sets], M) >= float(thr_count)
-            opt = Fraction(int(sat.sum(axis=0, dtype=np.int64).max()), L_len)
-        if opt > best:
-            best = opt
-            worst_trial = trial
-        if opt > half:
-            above_half += 1
-        if opt == 1:
-            at_one += 1
-    return SweepReport(
-        trials=trials,
-        balanced_trials=balanced_trials,
-        max_optimum=best,
-        optima_above_half=above_half,
-        optima_at_one=at_one,
-        worst_trial=worst_trial,
-    )
+            sat_counts.append(int(sat.sum(axis=0, dtype=np.int64).max()))
+    return _sweep_report(sat_counts, L_len, balanced_trials)

@@ -29,7 +29,16 @@ from .errors import (
     IterationCapError,
     ParseError,
 )
-from .util import derive_seed, frac_str, parse_frac, rng_from, sorted_rows, threshold_count
+from .util import (
+    ceil_frac,
+    derive_seed,
+    floor_frac,
+    frac_str,
+    parse_frac,
+    rng_from,
+    sorted_rows,
+    threshold_count,
+)
 
 DEFAULT_DEGREE_SCHEDULE = (4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
 _POWER_ITER_CAP = 5000
@@ -568,38 +577,37 @@ class SamplerReport:
 
 
 def certify_sampler(
-    fam: SamplerFamily,
-    corpus: Sequence[tuple[str, Sequence[int]]] | Sequence[Sequence[int]],
+    fam: SamplerFamily, corpus: Sequence[tuple[str, Sequence[int]]]
 ) -> SamplerReport:
-    """Exact per-string property checks over every set of the family; all
-    counts are exact rationals.
+    """Exact per-string property checks over every set of the family, given a
+    corpus of (label, bits) strings; all reported fractions are exact.
+
+    One float32 product of the incidence matrix and the strings gives every
+    set's count of ones (exact: no count exceeds the set size C). A count o
+    deviates when |o/C - mean| > epsilon, that is when o > floor(C(mean +
+    epsilon)) or o < ceil(C(mean - epsilon)), and is low when o/C < gamma,
+    that is when o < ceil(C gamma); both are integer comparisons.
 
     `passed` is a check over the given corpus only (in practice the 13
     strings of adversarial_corpus): no counterexample found, not a proof."""
-    labeled: list[tuple[str, Sequence[int]]] = []
-    for i, entry in enumerate(corpus):
-        if isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str):
-            labeled.append(entry)  # type: ignore[arg-type]
-        else:
-            labeled.append((f"s{i}", entry))  # type: ignore[arg-type]
-    inc = fam.incidence().astype(np.int64)
-    num_sets, C = len(fam.sets), fam.set_size
+    N, num_sets, C = fam.ground_size, len(fam.sets), fam.set_size
+    for label, bits in corpus:
+        if len(bits) != N:
+            raise GapforgeError(
+                f"string {label!r} has {len(bits)} bits, ground set has {N}"
+            )
+    strings = np.array([bits for _, bits in corpus], dtype=np.int64).reshape(-1, N)
+    ones = fam.incidence().astype(np.float32) @ strings.T.astype(np.float32)
+    ones = ones.astype(np.int64)  # (sets x strings)
     eps, delta, gamma = fam.params.epsilon, fam.params.delta, fam.params.gamma
     eta_cut = (1 - gamma) / 2
+    low_below = threshold_count(gamma, C)
 
-    def check(one: tuple[str, Sequence[int]]) -> StringReport:
-        label, bits = one
-        vec = np.asarray(bits, dtype=np.int64)
-        if vec.size != fam.ground_size:
-            raise GapforgeError(
-                f"string {label!r} has {vec.size} bits, ground set has {fam.ground_size}"
-            )
-        mean = Fraction(int(vec.sum()), fam.ground_size)
-        ones = inc @ vec
-        bad = sum(
-            1 for o in ones.tolist() if abs(Fraction(o, C) - mean) > eps
-        )
-        dev_frac = Fraction(bad, num_sets)
+    def check(s: int, label: str) -> StringReport:
+        col = ones[:, s]
+        mean = Fraction(int(strings[s].sum()), N)
+        deviating = (col > floor_frac(C * (mean + eps))) | (col < ceil_frac(C * (mean - eps)))
+        dev_frac = Fraction(int(deviating.sum()), num_sets)
         eta = 1 - mean
         row_eta = None
         low_frac = None
@@ -608,7 +616,7 @@ def certify_sampler(
         mix_ok = None
         if eta < eta_cut:
             row_eta = eta
-            low = sum(1 for o in ones.tolist() if Fraction(o, C) < gamma)
+            low = int((col < low_below).sum())
             low_frac = Fraction(low, num_sets)
             budget_ok = low_frac <= eta / 2
             if fam.measured_lambda is not None:
@@ -626,7 +634,7 @@ def certify_sampler(
             mixing_ok=mix_ok,
         )
 
-    rows = tuple(check(one) for one in labeled)
+    rows = tuple(check(s, label) for s, (label, _) in enumerate(corpus))
     passed = all(r.deviation_ok for r in rows) and all(
         r.eta_budget_ok for r in rows if r.eta_budget_ok is not None
     ) and all(r.mixing_ok for r in rows if r.mixing_ok is not None)

@@ -13,12 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import GoodnessCertificate, RobustCircuit, circuit_digest, evaluate_layer
-from .csp import Clause, CspInstance, clause_values, evaluate_clause, table_from_bits
+from .csp import (
+    DEFAULT_TABLE_CAP,
+    Clause,
+    CspInstance,
+    clause_values,
+    evaluate_clause,
+    table_from_bits,
+)
 from .errors import (
     GapforgeError,
     MissingCertificateError,
@@ -86,33 +94,39 @@ class TransformedSystem:
     certificate_waived: bool
     accounting: Accounting
 
+    def __post_init__(self):
+        # the proof layout: widths of layers 0..d, and the position of each
+        # layer's first bit followed by the proof length
+        self._widths = (self.circuit.m, *self.circuit.widths())
+        self._offsets = tuple(accumulate(self._widths, initial=self.base.num_vars))
+
     @property
     def num_checks(self) -> int:
         return self.base.num_clauses
 
     def layer_widths(self) -> list[int]:
-        return [self.circuit.m] + self.circuit.widths()
+        return list(self._widths)
 
     def layer_offset(self, i: int) -> int:
-        return self.base.num_vars + sum(self.layer_widths()[:i])
+        return self._offsets[i]
 
     @property
     def proof_length(self) -> int:
-        return self.base.num_vars + sum(self.layer_widths())
+        return self._offsets[-1]
 
     def check(self, j: int) -> VerifierCheck:
-        widths = self.layer_widths()
+        widths, offsets = self._widths, self._offsets
         refs = tuple(
             (i, j % widths[i]) for i in range(1, self.circuit.depth + 1)
         )
-        positions = set(self.base.clauses[j].scope)
-        positions.add(self.layer_offset(0) + j % widths[0])
-        for i, g in refs:
-            off_prev = self.layer_offset(i - 1)
-            inputs = self.circuit.layers[i - 1][g].tolist()
-            positions.update(off_prev + p for p in inputs)
-            positions.add(self.layer_offset(i) + g)
-        return VerifierCheck(index=j, gate_refs=refs, transcript=tuple(sorted(positions)))
+        # the clause's variables and the claimed bit of every layer on the
+        # path, then each path gate's inputs; sorted, repeats dropped
+        claimed = (offsets[0] + j % widths[0], *(offsets[i] + g for i, g in refs))
+        parts = [np.array((*self.base.clauses[j].scope, *claimed), dtype=np.int64)]
+        parts += [offsets[i - 1] + self.circuit.layers[i - 1][g] for i, g in refs]
+        pos = np.sort(np.concatenate(parts))
+        transcript = tuple(pos[np.r_[True, pos[1:] != pos[:-1]]].tolist())
+        return VerifierCheck(index=j, gate_refs=refs, transcript=transcript)
 
 
 def transform(
@@ -385,7 +399,7 @@ def greedy_adversary(
 
 
 def export_checks_csp(
-    ts: TransformedSystem, table_cap: int = 1 << 22
+    ts: TransformedSystem, table_cap: int = DEFAULT_TABLE_CAP
 ) -> CspInstance:
     """The check family as a native truth-table CSP over the proof bits, so a
     transformed system can round-trip through the instance tooling. Its

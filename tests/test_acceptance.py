@@ -152,9 +152,9 @@ def test_criterion_04_completeness_growth(det_circuits, completeness_corpus):
 
 @pytest.fixture(scope="session")
 def tuned_randomized():
-    f, cert = auto_fan_in(1024, master_seed=2026)
-    assert f <= 64 and cert.passed
-    return f, cert
+    circuit, cert = auto_fan_in(1024, master_seed=2026)
+    assert circuit.fan_in <= 64 and cert.passed
+    return circuit.fan_in, cert
 
 
 def test_criterion_05_randomized_completeness(tuned_randomized):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from gapforge.circuit import (
     DEFAULT_SCHEME,
     RobustCircuit,
     ThresholdScheme,
+    auto_fan_in,
     build_deterministic,
     build_randomized,
     certify_goodness,
@@ -27,8 +29,8 @@ from gapforge.circuit import (
 import gapforge.circuit as circuit_mod
 from gapforge.errors import GapforgeError, InfeasibleParametersError, ParseError
 from gapforge.oracle import estimate, exhaustive_layer_check
-from gapforge.sampler import SamplerParams, second_eigenvalue
-from gapforge.util import rng_from, threshold_count
+from gapforge.sampler import SamplerParams, second_eigenvalue, swap_climb
+from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
 
 
 class TestScheme:
@@ -193,7 +195,74 @@ def _custom_circuit(layers, m, theta=Fraction(4, 5)):
     )
 
 
+def reference_worst_statistical(idx, thr, w_in, in_cap, trials, seed):
+    """Reference for circuit._worst_statistical: the same seeded strings,
+    each scored by its own product in a loop, the first string with the most
+    fired gates kept as the start of the same greedy climb."""
+    mult = circuit_mod._gate_multiplicity(idx, w_in)
+    rng = rng_from(seed)
+    strings = []
+    for _ in range(max(1, trials - 4)):
+        vec = np.zeros(w_in, dtype=np.int16)
+        vec[rng.permutation(w_in)[:in_cap]] = 1
+        strings.append(vec)
+    for block_start in (0, w_in - in_cap, (w_in - in_cap) // 2):
+        vec = np.zeros(w_in, dtype=np.int16)
+        vec[block_start : block_start + in_cap] = 1
+        strings.append(vec)
+    worst, witness_vec = -1, strings[0]
+    for vec in strings:
+        fired = int(((vec @ mult) >= thr).sum())
+        if fired > worst:
+            worst, witness_vec = fired, vec
+    g_best, g_vec = swap_climb(
+        mult, thr, witness_vec, below=False, seed=derive_seed(seed, 0xA77), rounds=400
+    )
+    if g_best > worst:
+        worst, witness_vec = g_best, g_vec
+    witness = sum(int(b) << i for i, b in enumerate(witness_vec))
+    return worst, witness, len(strings) + 1
+
+
+def _statistical_layers(c: RobustCircuit):
+    """(idx, thr, w_in, in_cap) of every layer too wide to enumerate."""
+    for layer in range(1, c.depth + 1):
+        w_in = c.width_in(layer)
+        if w_in > circuit_mod.EXHAUSTIVE_CAP:
+            in_cap = floor_frac(c.scheme.mean_in * w_in)
+            yield c.layers[layer - 1], c.fire_count(layer), w_in, in_cap
+
+
 class TestGoodness:
+    @pytest.mark.parametrize("f", [8, 15, 32])
+    def test_one_product_scoring_matches_loop_on_rand_layers(self, f):
+        checked = 0
+        for seed in (0, 1):
+            c = build_randomized(1024, f, seed)
+            for layer_args in _statistical_layers(c):
+                for trials in (5, 48, 64):
+                    args = (*layer_args, trials, derive_seed(seed, trials))
+                    got = circuit_mod._worst_statistical(*args)
+                    assert got == reference_worst_statistical(*args)
+                    checked += 1
+        assert checked == 2 * 4 * 3  # four statistical layers per circuit
+
+    def test_one_product_scoring_matches_loop_on_det_layers(self):
+        c = build_deterministic(256, seed=5)
+        layers = list(_statistical_layers(c))
+        assert len(layers) == 4  # widths 256, 128, 64, 32
+        for i, layer_args in enumerate(layers):
+            args = (*layer_args, 64, derive_seed(5, i))
+            assert circuit_mod._worst_statistical(*args) == reference_worst_statistical(*args)
+
+    def test_circuit_without_scheme_is_refused(self):
+        bare = RobustCircuit(
+            m=4, depth=1, theta=Fraction(4, 5), variant="deterministic",
+            layers=(((0, 1, 2, 3),) * 2,),
+        )
+        with pytest.raises(GapforgeError, match="no \\(c, s\\) scheme"):
+            certify_goodness(bare)
+
     def test_deterministic_circuits_pass(self, det_circuits):
         for m, (c, cert) in det_circuits.items():
             assert cert.passed
@@ -246,6 +315,17 @@ class TestGoodness:
             verdict = cert.layers[layer_idx - 1]
             assert rep.passed == verdict.passed
             assert rep.worst_output_count == verdict.worst_output_count
+
+
+class TestAutoFanIn:
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_ships_the_circuit_it_certified(self, seed):
+        c, cert = auto_fan_in(256, seed, exhaustive_cap=16, trials=40)
+        assert cert.passed
+        assert cert.circuit_digest == circuit_digest(c)
+        assert c == build_randomized(256, c.fan_in, seed)
+        assert cert == certify_goodness(c, exhaustive_cap=16, trials=40, seed=seed)
+        assert (cert.exhaustive_cap, cert.trials, cert.seed) == (16, 40, seed)
 
 
 class TestRandomizedCompleteness:
@@ -384,6 +464,13 @@ class TestSerialization:
         assert certify_goodness(parsed, seed=3).to_doc() == want
         with pytest.raises(ParseError, match="line 1: malformed rcirc header"):
             parse_circuit(text.replace("4/5 1/2", "1/2 4/5", 1))  # s >= c
+
+    def test_equality_compares_scheme(self):
+        c = build_deterministic(16, seed=0)
+        other = ThresholdScheme(Fraction(4, 5), Fraction(1, 2))
+        assert c == build_deterministic(16, seed=0)
+        assert c != replace(c, scheme=other)
+        assert c != replace(c, scheme=None)
 
     def test_default_scheme_keeps_v1_header(self):
         for c in (build_deterministic(16, seed=0), build_randomized(16, f=3, seed=0)):

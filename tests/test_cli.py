@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, report determinism, error mapping."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import gapforge.circuit as circuit_mod
 from gapforge.circuit import DEFAULT_SCHEME, RobustCircuit, serialize_circuit
 from gapforge.cli import main
 from gapforge.csp import CspInstance, disjunction, serialize
@@ -72,6 +74,30 @@ class TestTransformCommand:
         assert doc["depth"] == 3 and doc["fan_in"] == 8
         # extra queries per check: f*d + d + 1 over the base width
         assert doc["accounting"]["max_queries"] <= 3 + 8 * 3 + 3 + 1
+
+    def test_auto_fan_in_ships_its_certified_circuit(self, tmp_path, monkeypatch):
+        # seed 6 at m=1024: a probe wiring certified, the shipped one failed
+        cnf = tmp_path / "m1024.cnf"
+        cnf.write_text(serialize(random_3sat(32, 1024, 3)))
+        certified = []
+
+        def recording(c, *args, **kwargs):
+            certified.append(circuit_mod.circuit_digest(c))
+            return certify(c, *args, **kwargs)
+
+        certify = circuit_mod.certify_goodness
+        monkeypatch.setattr(circuit_mod, "certify_goodness", recording)
+        report, circ = tmp_path / "r.json", tmp_path / "r.rcirc"
+        code = run([
+            "transform", "--input", str(cnf), "--variant", "rand", "--certify",
+            "--seed", "6", "--out-circuit", str(circ), "--report", str(report),
+        ])
+        assert code == 0
+        cert = json.loads(report.read_text())["certificate"]
+        shipped = hashlib.sha256(circ.read_bytes()).hexdigest()
+        assert cert["passed"] and cert["circuit_digest"] == shipped
+        # one certification per fan-in tried, the shipped circuit's last
+        assert len(set(certified)) == len(certified) and certified[-1] == shipped
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cnf"

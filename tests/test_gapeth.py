@@ -10,7 +10,6 @@ import pytest
 from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
 from gapforge.errors import GapforgeError, ShapeMismatchError
 from gapforge.gapeth import (
-    DEFAULT_TABLE_CAP,
     ReductionParams,
     _threshold_clause,
     canonical_no_instance,
@@ -257,7 +256,7 @@ class TestOneSided:
         assert (live > 0) == (which != "unit-pair")
         for clause, s in zip(inst.clauses, red_family.sets):
             sampled = [lst.entries[pos] for pos in s]
-            assert clause == _threshold_clause(base, sampled, thr, DEFAULT_TABLE_CAP)
+            assert clause == _threshold_clause(base, sampled, thr)
 
     def test_sweep_cross_validates_object_path(self, red_params, red_family, no_bases):
         base = no_bases[1][0]

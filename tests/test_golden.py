@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of the reports and circuit file of a small fixed CLI
+"""Golden outputs: sha256 of the reports and circuit file of a fixed CLI
 command set, of a deterministic circuit at m=1024 and its certificate, and of
 two sampler families. A refactor that keeps behaviour keeps every hash; a
 declared correctness fix that changes an output updates its hash here."""
@@ -30,6 +30,9 @@ GOLDEN = {
     "rand.json": (
         0, "14b6b8a3d12974d693068a5c02520472a5f24e71e75258dd1c8a78a1f0814c85"
     ),
+    "rand1024.json": (
+        0, "36303e3f6a2714a62d62567dfeab48272cc710597cf9fb4bc886ff6da00db623"
+    ),
     "adversary.json": (
         0, "fc7e8a38f0b3fb5a65ada5fa44c4446f9386378941d706d0239a3d98bb2d8848"
     ),
@@ -45,6 +48,7 @@ def golden_outputs(wd) -> dict[str, tuple[int, str]]:
     inputs = {
         "m64.cnf": random_3sat(8, 64, 11),
         "m256.cnf": random_3sat(6, 256, 1),
+        "m1024.cnf": random_3sat(32, 1024, 3),
         "pair.cnf": unit_pair_instance(2, 8, (0,)),
         "no48.cnf": unit_pair_instance(8, 48, (0,)),
     }
@@ -62,6 +66,10 @@ def golden_outputs(wd) -> dict[str, tuple[int, str]]:
         "rand.json": [
             "transform", "--input", "m256.cnf", "--variant", "rand",
             "--fanin", "8", "--certify",
+        ],
+        # auto_fan_in picks f=15 at seed 0 and ships the circuit it certified
+        "rand1024.json": [
+            "transform", "--input", "m1024.cnf", "--variant", "rand", "--certify",
         ],
         # 2 + 8 + 7 = 17 proof bits
         "adversary.json": [

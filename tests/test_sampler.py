@@ -414,6 +414,33 @@ class TestCertification:
         corpus = adversarial_corpus(fam, seed=2)
         assert certify_sampler(fam, corpus) == certify_sampler(fam, corpus)
 
+    def test_counts_match_per_set_fractions(self, monkeypatch):
+        fam = build_sampler_family(PARAMS, 256, seed=11, degree_schedule=(48,))
+        corpus = adversarial_corpus(fam, seed=1)
+        built = []
+        real = SamplerFamily.incidence
+
+        def counting(self):
+            built.append(1)
+            return real(self)
+
+        monkeypatch.setattr(SamplerFamily, "incidence", counting)
+        rep = certify_sampler(fam, corpus)
+        assert len(built) == 1
+        eps, gamma = PARAMS.epsilon, PARAMS.gamma
+        high_mean = 0
+        for row, (label, bits) in zip(rep.strings, corpus):
+            mean = Fraction(sum(bits), len(bits))
+            ones = [sum(bits[p] for p in s) for s in fam.sets.tolist()]
+            dev = sum(abs(Fraction(o, fam.set_size) - mean) > eps for o in ones)
+            assert row.label == label and row.mean == mean
+            assert row.deviation_fraction == Fraction(dev, len(ones))
+            if row.low_fraction is not None:
+                high_mean += 1
+                low = sum(Fraction(o, fam.set_size) < gamma for o in ones)
+                assert row.low_fraction == Fraction(low, len(ones))
+        assert high_mean > 0
+
     def test_length_mismatch(self):
         fam = build_sampler_family(PARAMS, 32, seed=2)
         with pytest.raises(GapforgeError):
