@@ -64,15 +64,14 @@ class Clause:
         A disjunction over k distinct literals falsifies exactly one scoped
         row; anything else (tautology, contradiction, XOR, ...) returns None.
         """
-        zeros = self.falsifying_rows()
-        if len(zeros) != 1 or self.arity == 0:
+        zeros = ~self.table & ((1 << self.num_rows) - 1)
+        if self.arity == 0 or zeros == 0 or zeros & (zeros - 1):
             return None
-        row = zeros[0]
-        lits = []
-        for i, v in enumerate(self.scope):
-            bit = (row >> (self.arity - 1 - i)) & 1
-            lits.append((v, bit == 0))
-        return tuple(lits)
+        row = zeros.bit_length() - 1
+        k = self.arity
+        return tuple(
+            (v, not (row >> (k - 1 - i)) & 1) for i, v in enumerate(self.scope)
+        )
 
 
 def disjunction(literals: Sequence[tuple[int, bool]]) -> Clause:
@@ -118,9 +117,6 @@ class CspInstance:
     def degenerate(self) -> bool:
         """No clauses or no variables; satisfied_fraction is 1 by convention."""
         return self.num_clauses == 0 or self.num_vars == 0
-
-    def is_3sat(self) -> bool:
-        return self.width <= 3 and all(c.as_literals() is not None for c in self.clauses)
 
 
 @dataclass(frozen=True)
@@ -323,17 +319,19 @@ def serialize(inst: CspInstance) -> str:
 
     parse(serialize(inst)) is structurally equal to inst; clause order is kept.
     """
-    if inst.is_3sat() and inst.width == max(
+    if inst.width <= 3 and inst.width == max(
         (c.arity for c in inst.clauses), default=0
     ):
         out = [f"p cnf {inst.num_vars} {inst.num_clauses}"]
         for c in inst.clauses:
             lits = c.as_literals()
-            assert lits is not None
+            if lits is None:
+                break
             out.append(
                 " ".join(str(v + 1 if pos else -(v + 1)) for v, pos in lits) + " 0"
             )
-        return "\n".join(out) + "\n"
+        else:
+            return "\n".join(out) + "\n"
     out = [f"gcsp {inst.num_vars} {inst.num_clauses} {inst.width}"]
     for c in inst.clauses:
         digits = max(1, (c.num_rows + 3) // 4)

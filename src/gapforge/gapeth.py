@@ -33,7 +33,7 @@ from .sampler import (
     build_full_family,
     intersection_degree,
 )
-from .util import derive_seed, floor_frac, frac_str, rng_from, threshold_count
+from .util import ceil_frac, derive_seed, floor_frac, frac_str, rng_from, threshold_count
 
 
 @dataclass(frozen=True)
@@ -158,40 +158,65 @@ def _extremal_sums(
     return heavy, light, int(counts[heavy].sum()), int(counts[light].sum())
 
 
-def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
-    """Exact extremal-subset check via sorted occurrence counts.
+@dataclass(frozen=True)
+class _BalanceCutoffs:
+    """Extremal subset sizes and list-share bounds of the balance check, with
+    the integer cut-offs that decide it: occurrence sums are integers, so
+    sum <= heavy_bound iff sum <= heavy_max, and sum >= light_bound iff
+    sum >= light_min."""
 
-    The heaviest size-(s*m) subset must hold at most s(1+eps/3) of the list;
-    the lightest size-(s(1+eps)*m) subset must hold at least s(1+2eps/3).
-    Non-integral subset sizes are floored and flagged.
-    """
-    m = lst.base_clauses
-    L = len(lst.entries)
+    heavy_size: int
+    light_size: int
+    heavy_bound: Fraction
+    light_bound: Fraction
+    heavy_max: int
+    light_min: int
+    floored: bool
+
+
+def _balance_cutoffs(p: ReductionParams, m: int, L: int) -> _BalanceCutoffs:
+    """The heaviest size-(s*m) subset may hold at most s(1+eps/3) of the
+    length-L list; the lightest size-(s(1+eps)*m) subset must hold at least
+    s(1+2eps/3). Non-integral subset sizes are floored and flagged."""
     heavy_size_frac = p.s * m
     light_size_frac = p.s * (1 + p.epsilon) * m
     heavy_size = floor_frac(heavy_size_frac)
     light_size = floor_frac(light_size_frac)
-    floored = (heavy_size != heavy_size_frac) or (light_size != light_size_frac)
-    heavy, light, heavy_sum, light_sum = _extremal_sums(
-        lst.occurrence_counts(), heavy_size, light_size
-    )
     heavy_bound = p.s * (1 + p.epsilon / 3) * L
     light_bound = p.s * (1 + 2 * p.epsilon / 3) * L
-    heavy_ok = Fraction(heavy_sum) <= heavy_bound
-    light_ok = Fraction(light_sum) >= light_bound
+    return _BalanceCutoffs(
+        heavy_size=heavy_size,
+        light_size=light_size,
+        heavy_bound=heavy_bound,
+        light_bound=light_bound,
+        heavy_max=floor_frac(heavy_bound),
+        light_min=ceil_frac(light_bound),
+        floored=(heavy_size != heavy_size_frac) or (light_size != light_size_frac),
+    )
+
+
+def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
+    """Exact extremal-subset check via sorted occurrence counts, against the
+    cut-offs of _balance_cutoffs."""
+    cut = _balance_cutoffs(p, lst.base_clauses, len(lst.entries))
+    heavy, light, heavy_sum, light_sum = _extremal_sums(
+        lst.occurrence_counts(), cut.heavy_size, cut.light_size
+    )
+    heavy_ok = heavy_sum <= cut.heavy_max
+    light_ok = light_sum >= cut.light_min
     return BalanceReport(
         balanced=heavy_ok and light_ok,
         heavy_ok=heavy_ok,
         light_ok=light_ok,
-        heavy_size=heavy_size,
-        light_size=light_size,
+        heavy_size=cut.heavy_size,
+        light_size=cut.light_size,
         heavy_sum=heavy_sum,
         light_sum=light_sum,
-        heavy_bound=heavy_bound,
-        light_bound=light_bound,
+        heavy_bound=cut.heavy_bound,
+        light_bound=cut.light_bound,
         heavy_witness=tuple(heavy.tolist()),
         light_witness=tuple(light.tolist()),
-        floored=floored,
+        floored=cut.floored,
     )
 
 
@@ -251,6 +276,13 @@ def _pattern_sat_matrix(base: CspInstance) -> np.ndarray:
     return np.array(
         [clause_values(c, patterns, bit_of) for c in base.clauses], dtype=np.float32
     )
+
+
+def _distinct_columns(M: np.ndarray) -> np.ndarray:
+    """The distinct columns of M, for sweeps that only need a per-trial max
+    over patterns: equal columns give equal set counts, so the max over the
+    distinct columns is the max over all of them."""
+    return np.ascontiguousarray(np.unique(M, axis=1))
 
 
 def _set_counts(samples: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -584,7 +616,7 @@ def two_sided_sweep(
     if base.num_vars > 16:
         raise ResourceCapError("sweep enumerates 2^n columns; need n <= 16")
     n, m = base.num_vars, base.num_clauses
-    M = _pattern_sat_matrix(base)
+    M = _distinct_columns(_pattern_sat_matrix(base))
     thr_count = threshold_count(p.threshold, p.k)
     sat_counts = []
     for trial in range(trials):
@@ -602,7 +634,8 @@ def one_sided_sweep(
     trials: int,
 ) -> SweepReport:
     """Exact brute-force optimum of the one-sided reduction's output for many
-    seeded trials, computed with per-trial set counts over one pattern matrix.
+    seeded trials, computed with per-trial set counts over the distinct
+    columns of one pattern matrix.
 
     Trial i reproduces reduce_one_sided with seed derive_seed(p.seed, i); the
     test suite cross-validates sampled trials against the object-level path.
@@ -612,21 +645,18 @@ def one_sided_sweep(
     m = base.num_clauses
     L_len = p.t * m
     _validate_family(fam, p, L_len)
-    M = _pattern_sat_matrix(base)
+    M = _distinct_columns(_pattern_sat_matrix(base))
     thr_count = threshold_count(p.threshold, fam.set_size)
-    heavy_size = floor_frac(p.s * m)
-    light_size = floor_frac(p.s * (1 + p.epsilon) * m)
-    heavy_bound = p.s * (1 + p.epsilon / 3) * L_len
-    light_bound = p.s * (1 + 2 * p.epsilon / 3) * L_len
+    cut = _balance_cutoffs(p, m, L_len)
     balanced_trials = 0
     sat_counts = []
     for trial in range(trials):
         seed = derive_seed(derive_seed(p.seed, trial), 0x1157)
         entries = rng_from(seed).integers(0, m, size=L_len)
         _, _, heavy_sum, light_sum = _extremal_sums(
-            np.bincount(entries, minlength=m), heavy_size, light_size
+            np.bincount(entries, minlength=m), cut.heavy_size, cut.light_size
         )
-        if not (Fraction(heavy_sum) <= heavy_bound and Fraction(light_sum) >= light_bound):
+        if heavy_sum > cut.heavy_max or light_sum < cut.light_min:
             sat_counts.append(L_len // 2)  # the canonical NO instance's optimum
         else:
             balanced_trials += 1

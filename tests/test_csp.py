@@ -35,6 +35,18 @@ def all_sign_patterns(vars3=(0, 1, 2)) -> CspInstance:
     return CspInstance(max(vars3) + 1, tuple(clauses))
 
 
+def reference_as_literals(c: Clause):
+    """as_literals read off the falsifying_rows list: the reference for the
+    bit arithmetic that finds the single falsifying row."""
+    zeros = c.falsifying_rows()
+    if len(zeros) != 1 or c.arity == 0:
+        return None
+    row = zeros[0]
+    return tuple(
+        (v, ((row >> (c.arity - 1 - i)) & 1) == 0) for i, v in enumerate(c.scope)
+    )
+
+
 class TestClauseEvaluation:
     def test_disjunction_true_literal(self):
         c = disjunction([(0, True), (1, True), (2, True)])
@@ -72,6 +84,21 @@ class TestClauseEvaluation:
         for arity, table in ((0, 0), (0, 1), (2, 0b1000), (4, 0xBEEF), (8, (1 << 256) - 3)):
             c = Clause(tuple(range(arity)), table)
             assert table_from_bits(np.array(c.table_bits(), dtype=bool)) == table
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    def test_as_literals_matches_reference_on_every_table(self, arity):
+        scope = tuple(range(5, 5 - arity, -1))
+        disjunctions = 0
+        for table in range(1 << (1 << arity)):
+            c = Clause(scope, table)
+            lits = c.as_literals()
+            assert lits == reference_as_literals(c)
+            if lits is not None:
+                disjunctions += 1
+                assert all(type(pos) is bool for _, pos in lits)
+                assert disjunction(lits) == c
+        # one disjunction per sign pattern, and none without literals
+        assert disjunctions == (1 << arity if arity else 0)
 
     def test_out_of_range_variable(self):
         c = disjunction([(5, True)])

@@ -11,6 +11,12 @@ from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
 from gapforge.errors import GapforgeError, ShapeMismatchError
 from gapforge.gapeth import (
     ReductionParams,
+    _balance_cutoffs,
+    _distinct_columns,
+    _extremal_sums,
+    _pattern_sat_matrix,
+    _set_counts,
+    _sweep_report,
     _threshold_clause,
     canonical_no_instance,
     check_balanced,
@@ -25,7 +31,7 @@ from gapforge.gapeth import (
     two_sided_sweep,
 )
 from gapforge.oracle import brute_force_opt, is_satisfiable
-from gapforge.util import derive_seed, threshold_count
+from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
 
 from conftest import random_3sat, unit_pair_instance
 
@@ -34,6 +40,64 @@ def small_params(**kw) -> ReductionParams:
     defaults = dict(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=16, t=4, seed=0)
     defaults.update(kw)
     return ReductionParams(**defaults)
+
+
+def reference_two_sided_sweep(base, p, trials):
+    """two_sided_sweep with its per-trial max over all 2^n pattern columns:
+    the reference for the sweeps' distinct-column reduction."""
+    n, m = base.num_vars, base.num_clauses
+    M = _pattern_sat_matrix(base)
+    thr_count = threshold_count(p.threshold, p.k)
+    sat_counts = []
+    for trial in range(trials):
+        seed = derive_seed(derive_seed(p.seed, trial), 0x25ED)
+        draws = rng_from(seed).integers(0, m, size=(n, p.k))
+        sat = _set_counts(draws, M) >= float(thr_count)
+        sat_counts.append(int(sat.sum(axis=0, dtype=np.int64).max()))
+    return _sweep_report(sat_counts, n, balanced=trials)
+
+
+def reference_one_sided_sweep(base, p, fam, trials):
+    """one_sided_sweep over all 2^n pattern columns, with the balance check
+    compared in Fractions: the reference for the distinct-column reduction
+    and the integer balance cut-offs."""
+    m = base.num_clauses
+    L_len = p.t * m
+    M = _pattern_sat_matrix(base)
+    thr_count = threshold_count(p.threshold, fam.set_size)
+    heavy_size = floor_frac(p.s * m)
+    light_size = floor_frac(p.s * (1 + p.epsilon) * m)
+    heavy_bound = p.s * (1 + p.epsilon / 3) * L_len
+    light_bound = p.s * (1 + 2 * p.epsilon / 3) * L_len
+    balanced_trials = 0
+    sat_counts = []
+    for trial in range(trials):
+        seed = derive_seed(derive_seed(p.seed, trial), 0x1157)
+        entries = rng_from(seed).integers(0, m, size=L_len)
+        _, _, heavy_sum, light_sum = _extremal_sums(
+            np.bincount(entries, minlength=m), heavy_size, light_size
+        )
+        if not (Fraction(heavy_sum) <= heavy_bound and Fraction(light_sum) >= light_bound):
+            sat_counts.append(L_len // 2)
+        else:
+            balanced_trials += 1
+            sat = _set_counts(entries[fam.sets], M) >= float(thr_count)
+            sat_counts.append(int(sat.sum(axis=0, dtype=np.int64).max()))
+    return _sweep_report(sat_counts, L_len, balanced_trials)
+
+
+SWEEP_BASES = ["unit-pair-n8", "mixed-block-n8", "random-3sat-n8", "unit-pair-n12"]
+
+
+def sweep_bases(no_bases) -> dict:
+    """unit-pair, mixed-block and random 3SAT bases at n=8 (m=48), and the
+    n=12 unit-pair base of test_failure_frequency_falls_with_k."""
+    return {
+        "unit-pair-n8": no_bases[1][0],
+        "mixed-block-n8": no_bases[3][0],
+        "random-3sat-n8": random_3sat(8, 48, 0),
+        "unit-pair-n12": unit_pair_instance(12, 48, (0,)),
+    }
 
 
 class TestParams:
@@ -100,6 +164,17 @@ class TestLists:
         )
         assert rep.heavy_sum == heavy
         assert rep.light_sum == light
+
+    @pytest.mark.parametrize(
+        "s_, eps, m, t",
+        [("3/4", "1/4", 48, 32), ("1/2", "1/4", 12, 3), ("1/3", "1/4", 10, 3), ("1/2", "1/3", 6, 2)],
+    )
+    def test_integer_cutoffs_match_fraction_bounds(self, s_, eps, m, t):
+        p = small_params(s=Fraction(s_), epsilon=Fraction(eps), t=t)
+        cut = _balance_cutoffs(p, m, t * m)
+        for total in range(t * m + 1):
+            assert (total <= cut.heavy_max) == (Fraction(total) <= cut.heavy_bound)
+            assert (total >= cut.light_min) == (Fraction(total) >= cut.light_bound)
 
     def test_witnesses_are_extremal(self):
         base = random_3sat(5, 8, 5)
@@ -170,6 +245,52 @@ class TestTwoSided:
             assert sweep.optima_above_half == sum(o > Fraction(1, 2) for o in opts)
             assert sweep.optima_at_one == sum(o == 1 for o in opts)
             assert sweep.worst_trial == (opts.index(best) if best > 0 else -1)
+
+
+class TestDistinctColumns:
+    @pytest.mark.parametrize("which", SWEEP_BASES)
+    def test_two_sided_sweep_matches_all_columns(self, which, no_bases):
+        base = sweep_bases(no_bases)[which]
+        for k in (8, 48):
+            p = ReductionParams(
+                s=Fraction(1, 2), epsilon=Fraction(1, 4), k=k, t=1, seed=77
+            )
+            trials = 100 if base.num_vars > 8 else 300
+            got = two_sided_sweep(base, p, trials)
+            assert got == reference_two_sided_sweep(base, p, trials)
+
+    @pytest.mark.parametrize("which", SWEEP_BASES)
+    def test_one_sided_sweep_matches_all_columns(self, which, red_params, red_family, no_bases):
+        base = sweep_bases(no_bases)[which]
+        trials = 12 if base.num_vars > 8 else 60
+        for seed in (red_params.seed, 0xE55):
+            p = replace(red_params, seed=seed)
+            got = one_sided_sweep(base, p, red_family, trials)
+            assert got == reference_one_sided_sweep(base, p, red_family, trials)
+
+    def test_satisfiable_trials_keep_their_worst_trial(self, red_params, red_family, yes_bases):
+        # optima reach 1 on some trials, so the max and its first trial are
+        # both exercised on the 247 distinct columns of the first YES base
+        base = yes_bases[0][0]
+        p = replace(red_params, seed=0xE55)
+        got = one_sided_sweep(base, p, red_family, 100)
+        assert got.optima_at_one > 0
+        assert got == reference_one_sided_sweep(base, p, red_family, 100)
+
+    def test_no_bases_have_few_distinct_columns(self, no_bases):
+        # a base on u variables has at most 2^u distinct columns of its 2^n
+        counts = []
+        for base, _ in no_bases:
+            used = {v for c in base.clauses for v in c.scope}
+            M = _pattern_sat_matrix(base)
+            distinct = _distinct_columns(M)
+            assert M.shape == (base.num_clauses, 1 << base.num_vars)
+            assert distinct.shape[0] == base.num_clauses
+            assert distinct.shape[1] <= 1 << len(used)
+            # every column of M is one of the kept columns
+            assert np.unique(np.concatenate([distinct, M], axis=1), axis=1).shape == distinct.shape
+            counts.append(distinct.shape[1])
+        assert counts == [2, 8, 8, 16]
 
 
 class TestOneSided:

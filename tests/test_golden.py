@@ -1,10 +1,12 @@
 """Golden outputs: sha256 of the reports and circuit file of a fixed CLI
-command set, of a deterministic circuit at m=1024 and its certificate, and of
-two sampler families. A refactor that keeps behaviour keeps every hash; a
+command set, of a deterministic circuit at m=1024 and its certificate, of
+two sampler families, of one-sided and two-sided sweep reports and of one
+serialized 3SAT instance. A refactor that keeps behaviour keeps every hash; a
 declared correctness fix that changes an output updates its hash here."""
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,9 @@ import pytest
 from gapforge.circuit import build_deterministic, certify_goodness, serialize_circuit
 from gapforge.cli import main
 from gapforge.csp import serialize
+from gapforge.gapeth import ReductionParams, one_sided_sweep, two_sided_sweep
 from gapforge.sampler import SamplerParams, build_sampler_family, serialize_family
+from gapforge.util import derive_seed
 
 from conftest import random_3sat, unit_pair_instance
 
@@ -147,3 +151,58 @@ def test_halved_family_matches_golden():
     params = SamplerParams(Fraction(1, 4), Fraction(1, 4), Fraction(3, 4))
     fam = build_sampler_family(params, 256, seed=5)
     assert family_pin(fam) == GOLDEN_FAMILIES["halved-256"]
+
+
+def doc_digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# sweep -> sha256 of its report doc: 300 one-sided trials over the reduction
+# family on each NO base and the first YES base (master seed derived from the
+# base's position), and 300 two-sided trials on the n=12 unit-pair base at k=8
+GOLDEN_SWEEPS = {
+    "one-sided-no0": (
+        "ea3f140f46f680a954aa14dc9a3343ead6196d388197644a0d150c821595f9f5"
+    ),
+    "one-sided-no1": (
+        "329a8921ec87f90a010c643579fd1cfd6833055b7fcc66cdf080bb77286f6516"
+    ),
+    "one-sided-no2": (
+        "c00c5e992236448b2e3b5c5fc0914404cb39be60d3043fe58d8c5e6cd566c5df"
+    ),
+    "one-sided-no3": (
+        "c777bc4904e69569a0a34235eb6e8b42f5208892baf5252380fabdaa78326cd0"
+    ),
+    "one-sided-yes0": (
+        "a56bb0406cbf066db44b3a190fb9276e9a7372fe4e22bf08ed3fd0f3affd229e"
+    ),
+    "two-sided-n12": (
+        "0a7b89e4ca794182ac44bc6605eea06c5cf08e0fd70e3676ba7e7c5f91ba55eb"
+    ),
+}
+
+
+def test_sweeps_match_golden(red_params, red_family, no_bases, yes_bases):
+    bases = {f"no{i}": base for i, (base, _) in enumerate(no_bases)}
+    bases["yes0"] = yes_bases[0][0]
+    out = {}
+    for i, (name, base) in enumerate(bases.items()):
+        p = replace(red_params, seed=derive_seed(red_params.seed, i))
+        doc = one_sided_sweep(base, p, red_family, trials=300).to_doc()
+        out[f"one-sided-{name}"] = doc_digest(doc)
+    p = ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=8, t=1, seed=77)
+    out["two-sided-n12"] = doc_digest(
+        two_sided_sweep(unit_pair_instance(12, 48, (0,)), p, trials=300).to_doc()
+    )
+    assert out == GOLDEN_SWEEPS
+
+
+# sha256 of serialize(random_3sat(32, 1024, 3)), the m=1024 DIMACS input
+GOLDEN_SERIALIZED_3SAT = (
+    "c25beb88c53d78540a82169ff9c901392780398712630f8691f0ff05d8d8e297"
+)
+
+
+def test_serialized_3sat_matches_golden():
+    text = serialize(random_3sat(32, 1024, 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SERIALIZED_3SAT
