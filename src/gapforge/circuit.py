@@ -316,11 +316,6 @@ def build_randomized(
 # ---------------------------------------------------------------------------
 
 
-def evaluate_layer(c: RobustCircuit, layer: int, bits: np.ndarray) -> np.ndarray:
-    idx = c.layers[layer - 1]
-    return (bits[idx].sum(axis=1) >= c.fire_count(layer)).astype(np.uint8)
-
-
 def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
     """Honest evaluation: all layer strings produced from the input bits."""
     if len(input_bits) != c.m:
@@ -330,7 +325,8 @@ def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
     current = np.asarray(input_bits, dtype=np.uint8)
     out: list[LayerString] = []
     for layer in range(1, c.depth + 1):
-        current = evaluate_layer(c, layer, current)
+        ones = current[c.layers[layer - 1]].sum(axis=1)
+        current = (ones >= c.fire_count(layer)).astype(np.uint8)
         out.append(tuple(int(b) for b in current))
     return out
 

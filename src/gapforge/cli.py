@@ -222,7 +222,7 @@ def cmd_gap_reduce(args) -> int:
         k=args.k,
         t=args.t,
         seed=seed,
-    ).with_base(base)
+    )
     doc = {
         "schema": SCHEMA,
         "command": "gap-reduce",
@@ -237,43 +237,30 @@ def cmd_gap_reduce(args) -> int:
             "k_condition_ok": p.k_condition_ok,
         },
     }
+    fam = None
     if args.mode == "one-sided":
         fam = gapeth.reduction_family(p, p.t * base.num_clauses, seed)
-        if args.dry_run:
-            lst = gapeth.sample_list(base, p)
-            balance = gapeth.check_balanced(lst, p)
-            d, p_est, lll_value, lll_ok = gapeth._lll_numbers(p, fam)
-            doc["dry_run"] = {
-                "balance": balance.to_doc(),
-                "intersection_degree": d,
-                "per_clause_failure_estimate": p_est,
-                "lll_value": lll_value,
-                "lll_ok": lll_ok,
-            }
-            _emit(doc, args.report)
-            return EXIT_OK
-        driver = gapeth.solve_driver(
+    if not args.dry_run:
+        doc["driver"] = gapeth.solve_driver(
             base,
             p,
             args.trials,
             subroutine=lambda inst: oracle.is_satisfiable(inst, cap=args.cap),
-            reduction="one-sided",
+            reduction=args.mode,
             fam=fam,
-        )
+        ).to_doc()
+    elif args.mode == "two-sided":
+        doc["dry_run"] = gapeth.reduce_two_sided(base, p)[1].to_doc()
     else:
-        if args.dry_run:
-            _, rep = gapeth.reduce_two_sided(base, p)
-            doc["dry_run"] = rep.to_doc()
-            _emit(doc, args.report)
-            return EXIT_OK
-        driver = gapeth.solve_driver(
-            base,
-            p,
-            args.trials,
-            subroutine=lambda inst: oracle.is_satisfiable(inst, cap=args.cap),
-            reduction="two-sided",
-        )
-    doc["driver"] = driver.to_doc()
+        balance = gapeth.check_balanced(gapeth.sample_list(base, p), p)
+        d, p_est, lll_value, lll_ok = gapeth._lll_numbers(p, fam)
+        doc["dry_run"] = {
+            "balance": balance.to_doc(),
+            "intersection_degree": d,
+            "per_clause_failure_estimate": p_est,
+            "lll_value": lll_value,
+            "lll_ok": lll_ok,
+        }
     _emit(doc, args.report)
     return EXIT_OK
 

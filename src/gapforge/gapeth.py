@@ -49,7 +49,6 @@ class ReductionParams:
     k: int
     t: int
     seed: int
-    rho: Fraction | None = None
 
     def __post_init__(self):
         if not (0 < self.s < 1):
@@ -77,9 +76,6 @@ class ReductionParams:
         """Shrink epsilon below 1/100 (the gap only gets harder)."""
         eps = min(self.epsilon, Fraction(1, 128))
         return replace(self, epsilon=eps)
-
-    def with_base(self, base: CspInstance) -> "ReductionParams":
-        return replace(self, rho=Fraction(base.num_clauses, base.num_vars))
 
 
 @dataclass(frozen=True)
@@ -295,6 +291,34 @@ def _set_counts(samples: np.ndarray, M: np.ndarray) -> np.ndarray:
     return mult @ M
 
 
+def _threshold_clauses(base: CspInstance, samples: np.ndarray, thr_count: int) -> tuple:
+    """The _threshold_clause of every row of samples, each row listing the
+    base clauses one output clause drew (with repeats).
+
+    For n <= 16 all tables come from one full-pattern count matrix: a
+    threshold clause never reads variables outside its scope, so its table
+    is its count row at the patterns that are 0 there. Those patterns, taken
+    in increasing order, are the scoped table rows.
+    """
+    n = base.num_vars
+    if n > 16:
+        return tuple(_threshold_clause(base, row, thr_count) for row in samples)
+    sat = _set_counts(samples, _pattern_sat_matrix(base)) >= float(thr_count)
+    var_incidence = np.zeros((base.num_clauses, n), dtype=np.float32)
+    for j, c in enumerate(base.clauses):
+        var_incidence[j, list(c.scope)] = 1.0
+    in_scope = _set_counts(samples, var_incidence) > 0
+    outside = ~(in_scope @ (1 << (n - 1 - np.arange(n, dtype=np.int64))))
+    patterns = np.arange(1 << n, dtype=np.int64)
+    return tuple(
+        Clause(
+            scope=tuple(np.flatnonzero(in_scope[i]).tolist()),
+            table=table_from_bits(sat[i][(patterns & outside[i]) == 0]),
+        )
+        for i in range(samples.shape[0])
+    )
+
+
 @dataclass(frozen=True)
 class TwoSidedReport:
     params_seed: int
@@ -325,8 +349,7 @@ def reduce_two_sided(
     rng = rng_from(derive_seed(p.seed, 0x25ED))
     draws = rng.integers(0, m, size=(n, p.k))
     thr_count = threshold_count(p.threshold, p.k)
-    clauses = [_threshold_clause(base, [int(x) for x in row], thr_count) for row in draws]
-    inst = CspInstance(n, tuple(clauses))
+    inst = CspInstance(n, _threshold_clauses(base, draws, thr_count))
     return inst, TwoSidedReport(
         params_seed=p.seed,
         num_clauses=n,
@@ -400,23 +423,6 @@ class OneSidedReport:
     lll_value: float
     lll_ok: bool
 
-    def to_doc(self) -> dict:
-        return {
-            "reduction": "one-sided",
-            "seed": self.seed,
-            "balance": self.balance.to_doc(),
-            "rejected_unbalanced": self.rejected_unbalanced,
-            "list_length": self.list_length,
-            "set_size": self.set_size,
-            "threshold": frac_str(self.threshold),
-            "k_condition_value": frac_str(self.k_condition_value),
-            "k_condition_ok": self.k_condition_ok,
-            "intersection_degree": self.intersection_degree,
-            "per_clause_failure_estimate": self.per_clause_failure_estimate,
-            "lll_value": self.lll_value,
-            "lll_ok": self.lll_ok,
-        }
-
 
 def _lll_numbers(p: ReductionParams, fam: SamplerFamily) -> tuple[int, float, float, bool]:
     d = intersection_degree(fam)
@@ -457,29 +463,8 @@ def reduce_one_sided(
     if not balance.balanced:
         return canonical_no_instance(L), report
     thr_count = threshold_count(p.threshold, fam.set_size)
-    n = base.num_vars
     samples = np.asarray(lst.entries)[fam.sets]
-    if n > 16:
-        clauses = [_threshold_clause(base, row, thr_count) for row in samples]
-        return CspInstance(n, tuple(clauses)), report
-    # A set's threshold clause never reads variables outside its scope, so its
-    # table is its full-pattern count row at the patterns that are 0 there.
-    # Those patterns, taken in increasing order, are the scoped table rows.
-    sat = _set_counts(samples, _pattern_sat_matrix(base)) >= float(thr_count)
-    var_incidence = np.zeros((base.num_clauses, n), dtype=np.float32)
-    for j, c in enumerate(base.clauses):
-        var_incidence[j, list(c.scope)] = 1.0
-    in_scope = _set_counts(samples, var_incidence) > 0
-    outside = ~(in_scope @ (1 << (n - 1 - np.arange(n, dtype=np.int64))))
-    patterns = np.arange(1 << n, dtype=np.int64)
-    clauses = [
-        Clause(
-            scope=tuple(np.flatnonzero(in_scope[i]).tolist()),
-            table=table_from_bits(sat[i][(patterns & outside[i]) == 0]),
-        )
-        for i in range(L)
-    ]
-    return CspInstance(n, tuple(clauses)), report
+    return CspInstance(base.num_vars, _threshold_clauses(base, samples, thr_count)), report
 
 
 # ---------------------------------------------------------------------------

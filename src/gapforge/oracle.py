@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,15 +62,30 @@ def satisfied_counts_vector(inst: CspInstance, assignments: np.ndarray) -> np.nd
     return counts
 
 
+def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Raise now if 2^n exceeds the cap; otherwise the sweep over all 2^n
+    assignments as (first assignment, satisfied counts) per block of _CHUNK,
+    computed only as it is iterated."""
+    if inst.num_vars > cap:
+        raise ResourceCapError(
+            f"{inst.num_vars} variables exceeds enumeration cap {cap}"
+        )
+    total = 1 << inst.num_vars
+
+    def blocks():
+        for lo in range(0, total, _CHUNK):
+            block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
+            yield lo, satisfied_counts_vector(inst, block)
+
+    return blocks()
+
+
 def brute_force_opt(inst: CspInstance, cap: int = DEFAULT_ASSIGNMENT_CAP) -> OracleReport:
     """Exact maximum satisfied fraction over all 2^n assignments.
 
     Ties break toward the lowest assignment integer (variable 0 = LSB).
     """
-    if inst.num_vars > cap:
-        raise ResourceCapError(
-            f"{inst.num_vars} variables exceeds enumeration cap {cap}"
-        )
+    blocks = _count_blocks(inst, cap)
     if inst.degenerate:
         return OracleReport(
             optimum=Fraction(1),
@@ -80,11 +95,7 @@ def brute_force_opt(inst: CspInstance, cap: int = DEFAULT_ASSIGNMENT_CAP) -> Ora
         )
     best_count = -1
     best_assignment = 0
-    total = 1 << inst.num_vars
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        block = np.arange(lo, hi, dtype=np.uint64)
-        counts = satisfied_counts_vector(inst, block)
+    for lo, counts in blocks:
         j = int(np.argmax(counts))
         if counts[j] > best_count:
             best_count = int(counts[j])
@@ -93,27 +104,17 @@ def brute_force_opt(inst: CspInstance, cap: int = DEFAULT_ASSIGNMENT_CAP) -> Ora
     return OracleReport(
         optimum=Fraction(best_count, inst.num_clauses),
         argmax=bits,
-        enumeration_size=total,
+        enumeration_size=1 << inst.num_vars,
         degenerate=False,
     )
 
 
 def is_satisfiable(inst: CspInstance, cap: int = DEFAULT_ASSIGNMENT_CAP) -> bool:
-    """Whether some assignment satisfies every clause; early-exits the sweep."""
-    if inst.num_vars > cap:
-        raise ResourceCapError(
-            f"{inst.num_vars} variables exceeds enumeration cap {cap}"
-        )
-    if inst.degenerate:
-        return True
-    total = 1 << inst.num_vars
+    """Whether some assignment satisfies every clause; stops at the first
+    block that holds one."""
+    blocks = _count_blocks(inst, cap)
     m = inst.num_clauses
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        block = np.arange(lo, hi, dtype=np.uint64)
-        if (satisfied_counts_vector(inst, block) == m).any():
-            return True
-    return False
+    return inst.degenerate or any((counts == m).any() for _, counts in blocks)
 
 
 @dataclass(frozen=True)
@@ -125,17 +126,6 @@ class LayerCheckReport:
     worst_output_count: int
     worst_output_mean: Fraction
     witness: tuple | None
-
-    def to_doc(self) -> dict:
-        return {
-            "passed": self.passed,
-            "width": self.width,
-            "num_gates": self.num_gates,
-            "strings_checked": self.strings_checked,
-            "worst_output_count": self.worst_output_count,
-            "worst_output_mean": frac_str(self.worst_output_mean),
-            "witness": None if self.witness is None else "".join(map(str, self.witness)),
-        }
 
 
 def exhaustive_layer_check(
@@ -236,16 +226,6 @@ class EstimateReport:
     wilson_low: float
     wilson_high: float
     master_seed: int
-
-    def to_doc(self) -> dict:
-        return {
-            "successes": self.successes,
-            "trials": self.trials,
-            "frequency": frac_str(self.frequency),
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "master_seed": self.master_seed,
-        }
 
 
 def estimate(

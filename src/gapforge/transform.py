@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import GoodnessCertificate, RobustCircuit, circuit_digest, evaluate_layer
+from .circuit import GoodnessCertificate, RobustCircuit, circuit_digest, evaluate
 from .csp import (
     DEFAULT_TABLE_CAP,
     Clause,
@@ -189,12 +189,8 @@ def honest_proof(ts: TransformedSystem, assignment: Sequence[int]) -> ProofStrin
     if len(assignment) != ts.base.num_vars:
         raise ShapeMismatchError("assignment length does not match the instance")
     l0 = tuple(evaluate_clause(c, assignment) for c in ts.base.clauses)
-    layers = [l0]
-    current = np.asarray(l0, dtype=np.uint8)
-    for layer in range(1, ts.circuit.depth + 1):
-        current = evaluate_layer(ts.circuit, layer, current)
-        layers.append(tuple(int(b) for b in current))
-    return ProofString(x=tuple(int(b) for b in assignment), layers=tuple(layers))
+    layers = (l0, *evaluate(ts.circuit, l0))
+    return ProofString(x=tuple(int(b) for b in assignment), layers=layers)
 
 
 def _validate_shape(ts: TransformedSystem, proof: ProofString):
@@ -233,9 +229,24 @@ def run_check(ts: TransformedSystem, j: int, proof: ProofString) -> CheckResult:
     return CheckResult(accepted=failed is None, transcript=chk.transcript, failed_conjunct=failed)
 
 
+def _path_ok(ts: TransformedSystem, layer: list) -> np.ndarray:
+    """(rows x m) outcomes of every check's gate and top-bit conjuncts, for
+    rows of claimed layer strings: layer[i] is a (rows x w_i) uint8 array.
+    One layer evaluation per row serves all m checks."""
+    circ = ts.circuit
+    widths = ts.layer_widths()
+    j = np.arange(ts.base.num_clauses)
+    ok = layer[-1][:, j % widths[-1]] == 1
+    for i in range(1, circ.depth + 1):
+        ones = layer[i - 1][:, circ.layers[i - 1]].sum(axis=2, dtype=np.int32)
+        recomputed = (ones >= circ.fire_count(i)).astype(np.uint8)
+        g = j % widths[i]
+        ok &= recomputed[:, g] == layer[i][:, g]
+    return ok
+
+
 def _accept_vector(ts: TransformedSystem, proof: ProofString) -> np.ndarray:
-    """Vector over j of check outcomes; one layer evaluation serves all j."""
-    m = ts.base.num_clauses
+    """Vector over j of check outcomes."""
     clause_ok = np.array(
         [
             evaluate_clause(c, proof.x) == proof.layers[0][j]
@@ -243,18 +254,8 @@ def _accept_vector(ts: TransformedSystem, proof: ProofString) -> np.ndarray:
         ],
         dtype=bool,
     )
-    accept = clause_ok
-    widths = ts.layer_widths()
-    j_idx = np.arange(m)
-    for i in range(1, ts.circuit.depth + 1):
-        claimed_prev = np.asarray(proof.layers[i - 1], dtype=np.uint8)
-        recomputed = evaluate_layer(ts.circuit, i, claimed_prev)
-        claimed = np.asarray(proof.layers[i], dtype=np.uint8)
-        g = j_idx % widths[i]
-        accept = accept & (recomputed[g] == claimed[g])
-    top = np.asarray(proof.layers[-1], dtype=np.uint8)
-    accept = accept & (top[j_idx % widths[-1]] == 1)
-    return accept
+    layer = [np.asarray(l, dtype=np.uint8)[None, :] for l in proof.layers]
+    return clause_ok & _path_ok(ts, layer)[0]
 
 
 def acceptance_probability(ts: TransformedSystem, proof: ProofString) -> Fraction:
@@ -301,8 +302,8 @@ def exhaustive_adversary(
     float32 is exact. Rows (L) ascend and columns (x) ascend within a row,
     and a later maximum replaces an earlier one only when strictly larger,
     which keeps the lowest maximizing proof integer. Besides the clause
-    matrix, no array exceeds about _BLOCK_ENTRIES entries: when 2^n alone
-    does, the x axis is tiled as well.
+    matrix, no array exceeds about _BLOCK_ENTRIES entries, or one row of
+    2^n scores when that alone is larger.
 
     Timed at m=8 on the deterministic circuit (15 gate bits) with a NO
     base, in a loop of its own on a 2-core Intel Xeon sandbox (Python 3.11,
@@ -316,46 +317,31 @@ def exhaustive_adversary(
         raise ResourceCapError(f"{bits} proof bits exceeds adversary cap {cap}")
     m = ts.base.num_clauses
     n = ts.base.num_vars
-    circ = ts.circuit
     widths = ts.layer_widths()
     gate_bits = bits - n
     # layer i's bits sit at [starts[i], starts[i] + widths[i]) of L
     starts = np.concatenate(([0], np.cumsum(widths)))
-    x_tile = min(1 << n, _BLOCK_ENTRIES)
-    per_row = max(x_tile, gate_bits, *(idx.size for idx in circ.layers))
+    per_row = max(1 << n, gate_bits, *(idx.size for idx in ts.circuit.layers))
     rows = min(1 << gate_bits, max(1, _BLOCK_ENTRIES // per_row))
     clause_sat = clause_sat_matrix(ts.base, np.arange(1 << n, dtype=np.uint64))
     clause_sat = clause_sat.astype(np.float32)  # m x 2^n
-    j = np.arange(m)
     shifts = np.arange(gate_bits, dtype=np.uint64)
     best_count, best_proof = -1, 0
     for lo in range(0, 1 << gate_bits, rows):
         settings = np.arange(lo, min(lo + rows, 1 << gate_bits), dtype=np.uint64)
         lbits = ((settings[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-        layer = [lbits[:, starts[i] : starts[i + 1]] for i in range(circ.depth + 1)]
-        ok = layer[-1][:, j % widths[-1]] == 1
-        for i in range(1, circ.depth + 1):
-            ones = layer[i - 1][:, circ.layers[i - 1]].sum(axis=2, dtype=np.int32)
-            recomputed = (ones >= circ.fire_count(i)).astype(np.uint8)
-            g = j % widths[i]
-            ok &= recomputed[:, g] == layer[i][:, g]
+        layer = [lbits[:, starts[i] : starts[i + 1]] for i in range(len(widths))]
+        ok = _path_ok(ts, layer)
         l0 = layer[0] == 1
         coef = (ok * np.where(l0, 1, -1)).astype(np.float32)
-        constant = (ok & ~l0).sum(axis=1)
-        row_best = np.full(settings.size, -np.inf, dtype=np.float32)
-        row_x = np.zeros(settings.size, dtype=np.int64)
-        for x_lo in range(0, 1 << n, x_tile):
-            scores = coef @ clause_sat[:, x_lo : x_lo + x_tile]
-            k = scores.argmax(axis=1)
-            top = scores[np.arange(settings.size), k]
-            better = top > row_best
-            row_best[better] = top[better]
-            row_x[better] = x_lo + k[better]
-        counts = row_best.astype(np.int64) + constant
+        scores = coef @ clause_sat
+        x = scores.argmax(axis=1)
+        counts = scores[np.arange(settings.size), x].astype(np.int64)
+        counts += (ok & ~l0).sum(axis=1)
         r = int(counts.argmax())
         if int(counts[r]) > best_count:
             best_count = int(counts[r])
-            best_proof = ((lo + r) << n) | int(row_x[r])
+            best_proof = ((lo + r) << n) | int(x[r])
     return AdversaryReport(
         value=Fraction(best_count, m),
         witness=proof_from_int(ts, best_proof),

@@ -209,6 +209,19 @@ class TestTwoSided:
         out, _ = reduce_two_sided(base, p)
         assert brute_force_opt(out).optimum == 0
 
+    @pytest.mark.parametrize("n", [12, 17])
+    def test_clauses_match_threshold_reference(self, n):
+        # n=12 reads each table off the full-pattern count matrix; n=17 is
+        # above that path's cut-off
+        base = random_3sat(n, 64, n)
+        p = small_params(k=6, seed=n)
+        out, _ = reduce_two_sided(base, p)
+        draws = rng_from(derive_seed(p.seed, 0x25ED)).integers(0, 64, size=(n, p.k))
+        thr = threshold_count(p.threshold, p.k)
+        assert any(c.arity < n for c in out.clauses)
+        for clause, row in zip(out.clauses, draws, strict=True):
+            assert clause == _threshold_clause(base, row.tolist(), thr)
+
     def test_failure_frequency_falls_with_k(self):
         # NO base at optimum exactly s: the chance the output looks half
         # satisfiable shrinks as the sample size grows

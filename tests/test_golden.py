@@ -1,8 +1,9 @@
 """Golden outputs: sha256 of the reports and circuit file of a fixed CLI
 command set, of a deterministic circuit at m=1024 and its certificate, of
-two sampler families, of one-sided and two-sided sweep reports and of one
-serialized 3SAT instance. A refactor that keeps behaviour keeps every hash; a
-declared correctness fix that changes an output updates its hash here."""
+two sampler families, of one-sided and two-sided sweep reports, of one
+serialized 3SAT instance and of two serialized two-sided reductions. A
+refactor that keeps behaviour keeps every hash; a declared correctness fix
+that changes an output updates its hash here."""
 
 import hashlib
 import json
@@ -14,7 +15,12 @@ import pytest
 from gapforge.circuit import build_deterministic, certify_goodness, serialize_circuit
 from gapforge.cli import main
 from gapforge.csp import serialize
-from gapforge.gapeth import ReductionParams, one_sided_sweep, two_sided_sweep
+from gapforge.gapeth import (
+    ReductionParams,
+    one_sided_sweep,
+    reduce_two_sided,
+    two_sided_sweep,
+)
 from gapforge.sampler import SamplerParams, build_sampler_family, serialize_family
 from gapforge.util import derive_seed
 
@@ -42,6 +48,18 @@ GOLDEN = {
     ),
     "dry_run.json": (
         0, "4c048634cb55c148ea1ef0ed332f4bac12187477316c64767d2e15b63805e206"
+    ),
+    "greedy.json": (
+        0, "a44f8cb199ce368435cb95e6473b1744895c2a72960e7cc253ff3d97bb5752fd"
+    ),
+    "two_sided_dry_run.json": (
+        0, "99e7516cf01a784026c2492a6f32c001962a15131ab38873f42b0c664db62a4d"
+    ),
+    "two_sided_driver.json": (
+        0, "7b98562be4ba46b667561b2757403ff6f827c8c584039cd20166490373148ba4"
+    ),
+    "one_sided_driver.json": (
+        0, "f58fcaa388b65acbfee85599b8775edce0156029cedf2b1ff37c730827eca43b"
     ),
 }
 
@@ -83,6 +101,24 @@ def golden_outputs(wd) -> dict[str, tuple[int, str]]:
         "dry_run.json": [
             "gap-reduce", "--input", "no48.cnf", "--k", "32", "--t", "4",
             "--dry-run",
+        ],
+        "greedy.json": [
+            "transform", "--input", "pair.cnf", "--certify",
+            "--adversary", "greedy",
+        ],
+        "two_sided_dry_run.json": [
+            "gap-reduce", "--input", "no48.cnf", "--mode", "two-sided",
+            "--k", "32", "--t", "4", "--dry-run",
+        ],
+        # every trial's output is unsatisfiable: eight full oracle sweeps
+        "two_sided_driver.json": [
+            "gap-reduce", "--input", "no48.cnf", "--mode", "two-sided",
+            "--k", "16", "--trials", "8",
+        ],
+        # trial 0 draws a balanced list and its output is satisfiable
+        "one_sided_driver.json": [
+            "gap-reduce", "--input", "m64.cnf", "--k", "32", "--t", "16",
+            "--trials", "4",
         ],
     }
     out = {}
@@ -206,3 +242,20 @@ GOLDEN_SERIALIZED_3SAT = (
 def test_serialized_3sat_matches_golden():
     text = serialize(random_3sat(32, 1024, 3))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SERIALIZED_3SAT
+
+
+# n -> sha256 of serialize(reduce_two_sided(random_3sat(n, 64, n), p)) at k=6:
+# at n=12 each clause's table is read off the full-pattern count matrix, at
+# n=17 it is built from its own scope
+GOLDEN_TWO_SIDED = {
+    12: "9136c5565dcea07bd917292ad2e528484a4fdad4d5042d4d952ede96c50974bf",
+    17: "432d86f2e5dc622a41ce6e9106cb55147b542540c8baa0ca256daafe09283363",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_TWO_SIDED))
+def test_two_sided_reduction_matches_golden(n):
+    p = ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=6, t=1, seed=n)
+    inst, _ = reduce_two_sided(random_3sat(n, 64, n), p)
+    digest = hashlib.sha256(serialize(inst).encode()).hexdigest()
+    assert digest == GOLDEN_TWO_SIDED[n]

@@ -348,7 +348,7 @@ class TestAdversaryKernel:
             ("golden-17", 1000),
             ("sat-ties", 1000),
             ("randomized", 1000),
-            # one row per block, the 512 assignments in tiles of 100
+            # one row per block, scored over all 512 assignments at once
             ("m4-3sat", 100),
             ("m4-late-ties", 100),
         ],
