@@ -35,6 +35,10 @@ from .sampler import (
 )
 from .util import ceil_frac, derive_seed, floor_frac, frac_str, rng_from, threshold_count
 
+# entries in one block of _threshold_clauses' count matrix (4 MB of float32);
+# the one-sided reduction at n = 8 over 1536 sets is one block
+_COUNT_BLOCK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ReductionParams:
@@ -295,28 +299,38 @@ def _threshold_clauses(base: CspInstance, samples: np.ndarray, thr_count: int) -
     """The _threshold_clause of every row of samples, each row listing the
     base clauses one output clause drew (with repeats).
 
-    For n <= 16 all tables come from one full-pattern count matrix: a
+    For n <= 16 all tables come from full-pattern count matrices: a
     threshold clause never reads variables outside its scope, so its table
     is its count row at the patterns that are 0 there. Those patterns, taken
-    in increasing order, are the scoped table rows.
+    in increasing order, are the scoped table rows. Rows of samples are
+    counted in blocks of at most _COUNT_BLOCK_ENTRIES count-matrix entries
+    (one row when 2^n alone is larger), so memory does not grow with the
+    number of output clauses.
     """
     n = base.num_vars
     if n > 16:
         return tuple(_threshold_clause(base, row, thr_count) for row in samples)
-    sat = _set_counts(samples, _pattern_sat_matrix(base)) >= float(thr_count)
+    M = _pattern_sat_matrix(base)
     var_incidence = np.zeros((base.num_clauses, n), dtype=np.float32)
     for j, c in enumerate(base.clauses):
         var_incidence[j, list(c.scope)] = 1.0
-    in_scope = _set_counts(samples, var_incidence) > 0
-    outside = ~(in_scope @ (1 << (n - 1 - np.arange(n, dtype=np.int64))))
     patterns = np.arange(1 << n, dtype=np.int64)
-    return tuple(
-        Clause(
-            scope=tuple(np.flatnonzero(in_scope[i]).tolist()),
-            table=table_from_bits(sat[i][(patterns & outside[i]) == 0]),
+    pattern_bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))
+    rows = max(1, _COUNT_BLOCK_ENTRIES >> n)
+    out = []
+    for lo in range(0, samples.shape[0], rows):
+        block = samples[lo : lo + rows]
+        sat = _set_counts(block, M) >= float(thr_count)
+        in_scope = _set_counts(block, var_incidence) > 0
+        outside = ~(in_scope @ pattern_bits)
+        out.extend(
+            Clause(
+                scope=tuple(np.flatnonzero(in_scope[i]).tolist()),
+                table=table_from_bits(sat[i][(patterns & outside[i]) == 0]),
+            )
+            for i in range(block.shape[0])
         )
-        for i in range(samples.shape[0])
-    )
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -612,6 +626,37 @@ def two_sided_sweep(
     return _sweep_report(sat_counts, n, balanced=trials)
 
 
+# one_sided_sweep counts balanced trials in batches when M has at most
+# _BATCH_MAX_COLUMNS distinct columns, about _BATCH_COLUMNS columns of
+# M[entries] per batch, multiplying _INCIDENCE_ROWS incidence rows at a time
+# (a 1.5 MB float32 block at 1536 positions)
+_BATCH_MAX_COLUMNS = 20
+_BATCH_COLUMNS = 512
+_INCIDENCE_ROWS = 256
+
+
+def _incidence_maxima(
+    sets: np.ndarray, block: np.ndarray, Y: np.ndarray, thr_count: int
+) -> np.ndarray:
+    """Per trial, the most sets whose count reaches thr_count in any one
+    column, for the (L x trials x d) stack Y of the trials' M[entries].
+
+    The counts are Inc @ Y for the family's 0/1 set-by-position incidence
+    Inc, taken a block of rows at a time: each row block is written from
+    sets into the reused float32 buffer block, so no whole Inc is held.
+    Float32 is exact for these integer counts."""
+    L, trials, d = Y.shape
+    Y = Y.reshape(L, trials * d)
+    sat = np.zeros(trials * d, dtype=np.int64)
+    for lo in range(0, L, block.shape[0]):
+        rows = sets[lo : lo + block.shape[0]]
+        inc = block[: rows.shape[0]]
+        inc.fill(0.0)
+        np.put_along_axis(inc, rows, 1.0, axis=1)
+        sat += (inc @ Y >= float(thr_count)).sum(axis=0)
+    return sat.reshape(trials, d).max(axis=1)
+
+
 def one_sided_sweep(
     base: CspInstance,
     p: ReductionParams,
@@ -619,8 +664,23 @@ def one_sided_sweep(
     trials: int,
 ) -> SweepReport:
     """Exact brute-force optimum of the one-sided reduction's output for many
-    seeded trials, computed with per-trial set counts over the distinct
-    columns of one pattern matrix.
+    seeded trials, from per-set counts over the distinct columns of one
+    pattern matrix M.
+
+    A balanced trial's per-set counts are Inc @ E @ M, for the family's
+    (L x L) 0/1 set-by-position incidence Inc, the trial's (L x m) one-hot
+    list E and the (m x d) matrix M. Which product comes first is a
+    matrix-chain order choice. Inc @ E is the multiplicity matrix that
+    _set_counts bincounts from the trial's L * C draws, followed by one
+    (L x m) @ (m x d) product, so its cost grows slowly with d. E @ M is
+    just M[entries], which leaves Inc @ (L x d): L * L * d multiply-adds,
+    but the blocks of many trials stand side by side in one BLAS product
+    (_incidence_maxima). At L = 1536, C = 64, m = 48 on two cores the batch
+    took 0.20x the per-trial time at d = 2, 0.46x at 8, 0.80x at 16, about
+    1x at 20 to 22 and 2.6x at 64, so trials are batched up to
+    _BATCH_MAX_COLUMNS = 20 columns and counted one by one above it. Each
+    trial's optimum is written to its own slot, so the report does not
+    depend on the path.
 
     Trial i reproduces reduce_one_sided with seed derive_seed(p.seed, i); the
     test suite cross-validates sampled trials against the object-level path.
@@ -633,18 +693,33 @@ def one_sided_sweep(
     M = _distinct_columns(_pattern_sat_matrix(base))
     thr_count = threshold_count(p.threshold, fam.set_size)
     cut = _balance_cutoffs(p, m, L_len)
+    d = M.shape[1]
+    batch = max(1, _BATCH_COLUMNS // d) if d <= _BATCH_MAX_COLUMNS else 0
+    if batch:
+        block = np.empty((min(_INCIDENCE_ROWS, L_len), fam.ground_size), dtype=np.float32)
+        # M[entries] of each queued trial, side by side
+        stacked = np.empty((L_len, batch, d), dtype=np.float32)
+    slots = []  # the queued trials
+    # unbalanced trials keep the canonical NO instance's optimum; a negative
+    # trial count runs none, as range does
+    sat_counts = np.full(max(trials, 0), L_len // 2, dtype=np.int64)
     balanced_trials = 0
-    sat_counts = []
     for trial in range(trials):
         seed = derive_seed(derive_seed(p.seed, trial), 0x1157)
         entries = rng_from(seed).integers(0, m, size=L_len)
         _, _, heavy_sum, light_sum = _extremal_sums(
             np.bincount(entries, minlength=m), cut.heavy_size, cut.light_size
         )
-        if heavy_sum > cut.heavy_max or light_sum < cut.light_min:
-            sat_counts.append(L_len // 2)  # the canonical NO instance's optimum
-        else:
-            balanced_trials += 1
+        balanced = heavy_sum <= cut.heavy_max and light_sum >= cut.light_min
+        balanced_trials += balanced
+        if balanced and not batch:
             sat = _set_counts(entries[fam.sets], M) >= float(thr_count)
-            sat_counts.append(int(sat.sum(axis=0, dtype=np.int64).max()))
+            sat_counts[trial] = sat.sum(axis=0, dtype=np.int64).max()
+        elif balanced:
+            stacked[:, len(slots)] = M[entries]
+            slots.append(trial)
+        if slots and (len(slots) == batch or trial == trials - 1):
+            queued = stacked[:, : len(slots)]
+            sat_counts[slots] = _incidence_maxima(fam.sets, block, queued, thr_count)
+            slots = []
     return _sweep_report(sat_counts, L_len, balanced_trials)

@@ -7,13 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapforge import gapeth
 from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
 from gapforge.errors import GapforgeError, ShapeMismatchError
 from gapforge.gapeth import (
+    _BATCH_COLUMNS,
+    _BATCH_MAX_COLUMNS,
     ReductionParams,
     _balance_cutoffs,
     _distinct_columns,
     _extremal_sums,
+    _incidence_maxima,
     _pattern_sat_matrix,
     _set_counts,
     _sweep_report,
@@ -306,6 +310,87 @@ class TestDistinctColumns:
         assert counts == [2, 8, 8, 16]
 
 
+def satisfiable_four_variable_base() -> CspInstance:
+    """48 three-literal clauses over variables 0-3 of 8, each satisfied by
+    x = (1, 0, 1, 1, 0, 0, 0, 0)."""
+    x = (1, 0, 1, 1)
+    rng = rng_from(0x5A7)
+    clauses = []
+    for _ in range(48):
+        vs = [int(v) for v in rng.choice(4, 3, replace=False)]
+        signs = [bool(b) for b in rng.integers(0, 2, 3)]
+        if all(sign != bool(x[v]) for v, sign in zip(vs, signs)):
+            signs[0] = bool(x[vs[0]])
+        clauses.append(disjunction(list(zip(vs, signs))))
+    return CspInstance(8, tuple(clauses))
+
+
+def straddling_bases() -> dict:
+    """Bases whose balanced trials have optima on both sides of 1/2: at the
+    reduction's threshold of 54 of 64, the per-set counts of their best
+    patterns straddle the threshold. d -> base with d distinct columns."""
+    units = [disjunction([(0, True)])] * 40 + [disjunction([(0, False)])] * 8
+    rng = rng_from(derive_seed(0x57D, 0))
+    pairs = []
+    for _ in range(48):
+        vs = [int(v) for v in rng.choice(4, 2, replace=False)]
+        pairs.append(disjunction([(v, bool(b)) for v, b in zip(vs, rng.integers(0, 2, 2))]))
+    return {2: CspInstance(8, tuple(units)), 16: CspInstance(8, tuple(pairs))}
+
+
+class TestBatchedSweep:
+    """one_sided_sweep's batched incidence kernel, which counts the balanced
+    trials of bases with at most _BATCH_MAX_COLUMNS distinct columns."""
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_matches_reference_over_batches(self, d, red_params, red_family):
+        base = straddling_bases()[d]
+        assert _distinct_columns(_pattern_sat_matrix(base)).shape[1] == d <= _BATCH_MAX_COLUMNS
+        batch = _BATCH_COLUMNS // d
+        p = replace(red_params, seed=0xBA7)
+        got = one_sided_sweep(base, p, red_family, 3 * batch)
+        # two full batches and a partial trailing one
+        assert 2 * batch < got.balanced_trials < 3 * batch
+        assert 0 < got.optima_above_half < got.balanced_trials
+        assert got == reference_one_sided_sweep(base, p, red_family, 3 * batch)
+
+    def test_kernel_matches_per_trial_counts(self, red_family):
+        # every trial's maximum, with row blocks that leave a partial last one
+        base = straddling_bases()[16]
+        M = _distinct_columns(_pattern_sat_matrix(base))
+        rng = rng_from(0xB10C)
+        lists = rng.integers(0, 48, size=(1536, 5))
+        block = np.empty((100, 1536), dtype=np.float32)
+        got = _incidence_maxima(red_family.sets, block, M[lists], 54)
+        want = [
+            int((_set_counts(lists[:, i][red_family.sets], M) >= 54).sum(axis=0).max())
+            for i in range(5)
+        ]
+        assert got.tolist() == want
+        assert len(set(want)) > 1
+
+    def test_zero_trials(self, red_params, red_family, no_bases):
+        base = no_bases[0][0]
+        got = one_sided_sweep(base, red_params, red_family, 0)
+        assert (got.trials, got.balanced_trials, got.worst_trial) == (0, 0, -1)
+        assert got == reference_one_sided_sweep(base, red_params, red_family, 0)
+
+    def test_satisfiable_base_keeps_first_maximizing_trial(self, red_params, red_family):
+        base = satisfiable_four_variable_base()
+        assert brute_force_opt(base).optimum == 1
+        d = _distinct_columns(_pattern_sat_matrix(base)).shape[1]
+        assert d <= _BATCH_MAX_COLUMNS
+        batch = _BATCH_COLUMNS // d
+        # trial 0 of this master seed draws an unbalanced list, so the first
+        # of the trials at optimum 1, in every batch, is trial 1
+        p = replace(red_params, seed=derive_seed(0x5A7, 4))
+        got = one_sided_sweep(base, p, red_family, 3 * batch)
+        assert got.balanced_trials > 2 * batch
+        assert got.optima_at_one == got.balanced_trials
+        assert got.worst_trial == 1
+        assert got == reference_one_sided_sweep(base, p, red_family, 3 * batch)
+
+
 class TestOneSided:
     def test_family_validation(self, red_params, red_family):
         base = random_3sat(8, 48, 0)
@@ -331,6 +416,16 @@ class TestOneSided:
         inst, rep = reduce_one_sided(base, red_params, red_family)
         assert not rep.rejected_unbalanced
         assert satisfied_fraction(inst, (1, 0, 0, 0, 0, 0, 0, 0)) == 1
+
+    def test_count_blocks_keep_the_clauses(self, red_params, red_family, monkeypatch):
+        # at n=8 the 1536 sets are one count-matrix block by default; five
+        # rows per block leave a partial last block of one row
+        assert 1536 << 8 <= gapeth._COUNT_BLOCK_ENTRIES
+        base = random_3sat(8, 48, 0)
+        whole, rep = reduce_one_sided(base, red_params, red_family)
+        assert not rep.rejected_unbalanced
+        monkeypatch.setattr(gapeth, "_COUNT_BLOCK_ENTRIES", 5 << 8)
+        assert reduce_one_sided(base, red_params, red_family)[0] == whole
 
     def test_lll_report_fields(self, red_params, red_family, no_bases):
         _, rep = reduce_one_sided(no_bases[0][0], red_params, red_family)

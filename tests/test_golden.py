@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from gapforge import gapeth
 from gapforge.circuit import build_deterministic, certify_goodness, serialize_circuit
 from gapforge.cli import main
 from gapforge.csp import serialize
@@ -253,9 +254,20 @@ GOLDEN_TWO_SIDED = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(GOLDEN_TWO_SIDED))
-def test_two_sided_reduction_matches_golden(n):
+def two_sided_digest(n: int) -> str:
     p = ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=6, t=1, seed=n)
     inst, _ = reduce_two_sided(random_3sat(n, 64, n), p)
-    digest = hashlib.sha256(serialize(inst).encode()).hexdigest()
-    assert digest == GOLDEN_TWO_SIDED[n]
+    return hashlib.sha256(serialize(inst).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_TWO_SIDED))
+def test_two_sided_reduction_matches_golden(n):
+    assert two_sided_digest(n) == GOLDEN_TWO_SIDED[n]
+
+
+@pytest.mark.parametrize("block_rows", [1, 5])
+def test_two_sided_reduction_matches_golden_in_count_blocks(block_rows, monkeypatch):
+    # the 12 output clauses at n=12 in count-matrix blocks of one row, or of
+    # five with a partial last block
+    monkeypatch.setattr(gapeth, "_COUNT_BLOCK_ENTRIES", block_rows << 12)
+    assert two_sided_digest(12) == GOLDEN_TWO_SIDED[12]
