@@ -6,7 +6,6 @@ from .csp import (
     Clause,
     ConversionReport,
     CspInstance,
-    GapSpec,
     csp_to_3sat,
     disjunction,
     evaluate_clause,
@@ -49,10 +48,7 @@ from .sampler import (
     build_sampler_family,
     certify_sampler,
     mixing_bound,
-    parse_family,
     second_eigenvalue,
-    serialize_family,
-    trace_lambda_bound,
 )
 from .transform import (
     ProofString,

@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .csp import GapSpec
 from .errors import GapforgeError, InfeasibleParametersError, ParseError
 from .oracle import estimate
 from .sampler import (
@@ -93,10 +92,6 @@ class ThresholdScheme:
     @property
     def new_soundness(self) -> Fraction:
         return 1 - self.slack
-
-    @staticmethod
-    def from_gap(gap: GapSpec) -> "ThresholdScheme":
-        return ThresholdScheme(gap.completeness, gap.soundness)
 
 
 DEFAULT_SCHEME = ThresholdScheme()

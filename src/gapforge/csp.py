@@ -115,28 +115,10 @@ class CspInstance:
 
     @property
     def degenerate(self) -> bool:
-        """No clauses or no variables; satisfied_fraction is 1 by convention."""
-        return self.num_clauses == 0 or self.num_vars == 0
-
-
-@dataclass(frozen=True)
-class GapSpec:
-    """Completeness/soundness pair of a promise gap problem."""
-
-    completeness: Fraction
-    soundness: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.completeness <= 1):
-            raise ValueError("completeness must lie in (0, 1]")
-        if not (0 <= self.soundness < 1):
-            raise ValueError("soundness must lie in [0, 1)")
-        if self.soundness >= self.completeness:
-            raise ValueError("soundness must be below completeness")
-
-    @property
-    def gap(self) -> Fraction:
-        return self.completeness - self.soundness
+        """No clauses, so satisfied_fraction is 1 by convention. An instance
+        with clauses but no variables is not degenerate: its one (empty)
+        assignment satisfies only its tautology clauses."""
+        return self.num_clauses == 0
 
 
 def evaluate_clause(clause: Clause, assignment: Sequence[int]) -> int:
@@ -402,9 +384,7 @@ def _pad_to_width3(
     return out
 
 
-def csp_to_3sat(
-    inst: CspInstance, table_cap: int = DEFAULT_TABLE_CAP
-) -> tuple[CspInstance, ConversionReport]:
+def csp_to_3sat(inst: CspInstance) -> tuple[CspInstance, ConversionReport]:
     """Per-clause expansion of a bounded-width CSP into 3SAT.
 
     Each clause's falsifying rows become blocking disjunctions over its scope,
@@ -417,9 +397,9 @@ def csp_to_3sat(
     next_var = inst.num_vars
     max_block = 0
     for c in inst.clauses:
-        if c.num_rows > table_cap:
+        if c.num_rows > DEFAULT_TABLE_CAP:
             raise ResourceCapError(
-                f"clause table with 2^{c.arity} rows exceeds cap {table_cap}"
+                f"clause table with 2^{c.arity} rows exceeds cap {DEFAULT_TABLE_CAP}"
             )
         lits = c.as_literals()
         if lits is not None and c.arity == 3:

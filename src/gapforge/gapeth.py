@@ -46,7 +46,7 @@ class ReductionParams:
 
     The analysis regime normalizes epsilon below 1/100; desk-scale runs keep
     the raw gap because the sampler parameters it implies are unattainable at
-    enumerable sizes (see paper_normalized)."""
+    enumerable sizes."""
 
     s: Fraction
     epsilon: Fraction
@@ -76,11 +76,6 @@ class ReductionParams:
     def k_condition_ok(self) -> bool:
         return self.k_condition_value <= Fraction(1, 2)
 
-    def paper_normalized(self) -> "ReductionParams":
-        """Shrink epsilon below 1/100 (the gap only gets harder)."""
-        eps = min(self.epsilon, Fraction(1, 128))
-        return replace(self, epsilon=eps)
-
 
 @dataclass(frozen=True)
 class ClauseList:
@@ -102,18 +97,16 @@ class ClauseList:
         )
 
 
+def _list_draw(seed: int, m: int, L: int) -> np.ndarray:
+    """The L base-clause indices of the one-sided list drawn at seed."""
+    return rng_from(derive_seed(seed, 0x1157)).integers(0, m, size=L)
+
+
 def sample_list(base: CspInstance, p: ReductionParams) -> ClauseList:
     """Seeded sampling with repetition; deterministic for a fixed seed."""
     m = base.num_clauses
-    rng = rng_from(derive_seed(p.seed, 0x1157))
-    entries = tuple(int(x) for x in rng.integers(0, m, size=p.t * m))
+    entries = tuple(_list_draw(p.seed, m, p.t * m).tolist())
     return ClauseList(entries=entries, base_clauses=m, t=p.t)
-
-
-def exact_repeat_list(base: CspInstance, t: int) -> ClauseList:
-    """Degenerate deterministic mode: the base clause list repeated t times."""
-    m = base.num_clauses
-    return ClauseList(entries=tuple(range(m)) * t, base_clauses=m, t=t)
 
 
 @dataclass(frozen=True)
@@ -350,6 +343,11 @@ class TwoSidedReport:
         }
 
 
+def _two_sided_draws(seed: int, n: int, m: int, k: int) -> np.ndarray:
+    """The (n, k) base-clause samples of the two-sided reduction at seed."""
+    return rng_from(derive_seed(seed, 0x25ED)).integers(0, m, size=(n, k))
+
+
 def reduce_two_sided(
     base: CspInstance, p: ReductionParams
 ) -> tuple[CspInstance, TwoSidedReport]:
@@ -359,9 +357,8 @@ def reduce_two_sided(
     Accepts any truth-table base (the threshold machinery never looks inside
     clauses), though the intended inputs are bounded-width SAT instances.
     """
-    n, m = base.num_vars, base.num_clauses
-    rng = rng_from(derive_seed(p.seed, 0x25ED))
-    draws = rng.integers(0, m, size=(n, p.k))
+    n = base.num_vars
+    draws = _two_sided_draws(p.seed, n, base.num_clauses, p.k)
     thr_count = threshold_count(p.threshold, p.k)
     inst = CspInstance(n, _threshold_clauses(base, draws, thr_count))
     return inst, TwoSidedReport(
@@ -395,16 +392,9 @@ def reduction_family_params(p: ReductionParams) -> SamplerParams:
     )
 
 
-def reduction_family(
-    p: ReductionParams,
-    list_length: int,
-    seed: int,
-    degree_schedule: Sequence[int] | None = None,
-) -> SamplerFamily:
+def reduction_family(p: ReductionParams, list_length: int, seed: int) -> SamplerFamily:
     """Full expander-sampler family over the list positions."""
-    return build_full_family(
-        reduction_family_params(p), list_length, seed, degree_schedule
-    )
+    return build_full_family(reduction_family_params(p), list_length, seed)
 
 
 def _validate_family(fam: SamplerFamily, p: ReductionParams, list_length: int):
@@ -515,7 +505,8 @@ def solve_driver(
 ) -> DriverReport:
     """Repeat the chosen reduction with per-trial seeds derived from
     (p.seed, trial index) and return YES iff any output is accepted by the
-    perfect-completeness subroutine.
+    perfect-completeness subroutine. The one-sided reduction needs fam, the
+    reduction family over the p.t * m list positions.
 
     The subroutine receives the threshold CSP directly by default; pass
     convert_to_3sat=True when plugging a decider that expects 3SAT (the
@@ -525,9 +516,7 @@ def solve_driver(
     if reduction not in ("one-sided", "two-sided"):
         raise ValueError(f"unknown reduction {reduction!r}")
     if reduction == "one-sided" and fam is None:
-        fam = reduction_family(
-            p, p.t * base.num_clauses, derive_seed(p.seed, 0xFA11)
-        )
+        raise GapforgeError("the one-sided reduction needs a sampler family")
     outcomes = []
     for trial in range(trials):
         p_t = replace(p, seed=derive_seed(p.seed, trial))
@@ -619,8 +608,7 @@ def two_sided_sweep(
     thr_count = threshold_count(p.threshold, p.k)
     sat_counts = []
     for trial in range(trials):
-        seed = derive_seed(derive_seed(p.seed, trial), 0x25ED)
-        draws = rng_from(seed).integers(0, m, size=(n, p.k))
+        draws = _two_sided_draws(derive_seed(p.seed, trial), n, m, p.k)
         sat = _set_counts(draws, M) >= float(thr_count)
         sat_counts.append(int(sat.sum(axis=0, dtype=np.int64).max()))
     return _sweep_report(sat_counts, n, balanced=trials)
@@ -705,8 +693,7 @@ def one_sided_sweep(
     sat_counts = np.full(max(trials, 0), L_len // 2, dtype=np.int64)
     balanced_trials = 0
     for trial in range(trials):
-        seed = derive_seed(derive_seed(p.seed, trial), 0x1157)
-        entries = rng_from(seed).integers(0, m, size=L_len)
+        entries = _list_draw(derive_seed(p.seed, trial), m, L_len)
         _, _, heavy_sum, light_sum = _extremal_sums(
             np.bincount(entries, minlength=m), cut.heavy_size, cut.light_size
         )

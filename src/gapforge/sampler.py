@@ -15,7 +15,6 @@ asymptotic constants: a family is considered usable only after
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,18 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    GapforgeError,
-    InfeasibleParametersError,
-    IterationCapError,
-    ParseError,
-)
+from .errors import GapforgeError, InfeasibleParametersError, IterationCapError
 from .util import (
     ceil_frac,
     derive_seed,
     floor_frac,
     frac_str,
-    parse_frac,
     rng_from,
     sorted_rows,
     threshold_count,
@@ -321,12 +314,6 @@ def trace_lambda_sq_bound(g: RegularGraph) -> Fraction:
     return Fraction(S - D * D, D * D)
 
 
-def trace_lambda_bound(g: RegularGraph) -> float:
-    """sqrt(tr(W^2) - 1): bounds the absolute value of every walk-matrix
-    eigenvalue except one copy of 1; sqrt(N / D - 1) for a simple graph."""
-    return math.sqrt(trace_lambda_sq_bound(g))
-
-
 def second_eigenvalue_dense(g: RegularGraph) -> float:
     """Dense eigendecomposition cross-check (small N only)."""
     N, D = g.num_vertices, g.degree
@@ -369,7 +356,7 @@ class SamplerFamily:
     expander-derived families keep the neighbor sets of the first floor(N/2)
     vertices of a verified expander; expander-full families keep all N (that
     is what the one-sided reduction consumes); explicit-list families come
-    from serialized text and carry no graph.
+    from family_from_sets and carry no graph.
     """
 
     ground_size: int
@@ -745,56 +732,3 @@ def adversarial_corpus(
         )
         corpus.append(("search-low-sample", tuple(found2.tolist())))
     return corpus
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def serialize_family(fam: SamplerFamily) -> str:
-    lam = "-" if fam.measured_lambda is None else repr(fam.measured_lambda)
-    header = (
-        f"sampler {fam.ground_size} {fam.set_size} "
-        f"{frac_str(fam.params.epsilon)} {frac_str(fam.params.delta)} "
-        f"{frac_str(fam.params.gamma)} {lam}"
-    )
-    lines = [header]
-    lines.extend(" ".join(map(str, s)) for s in fam.sets.tolist())
-    return "\n".join(lines) + "\n"
-
-
-def parse_family(text: str) -> SamplerFamily:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("sampler"):
-        raise ParseError("missing sampler header", 1)
-    toks = lines[0].split()
-    if len(toks) != 7:
-        raise ParseError("malformed sampler header", 1)
-    try:
-        N, C = int(toks[1]), int(toks[2])
-        params = SamplerParams(
-            epsilon=parse_frac(toks[3]),
-            delta=parse_frac(toks[4]),
-            gamma=parse_frac(toks[5]),
-        )
-        lam = None if toks[6] == "-" else float(toks[6])
-    except ValueError as exc:
-        raise ParseError(f"malformed sampler header: {exc}", 1) from None
-    sets = []
-    for no, ln in enumerate(lines[1:], start=2):
-        try:
-            s = tuple(int(t) for t in ln.split())
-        except ValueError:
-            raise ParseError("bad set line", no) from None
-        if len(s) != C:
-            raise ParseError(f"set of size {len(s)}, expected {C}", no)
-        sets.append(s)
-    fam = SamplerFamily(
-        ground_size=N,
-        sets=sets,
-        params=params,
-        provenance=PROVENANCE_EXPLICIT,
-        measured_lambda=lam,
-    )
-    return fam

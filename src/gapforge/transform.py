@@ -384,9 +384,7 @@ def greedy_adversary(
     return best_val, best_proof
 
 
-def export_checks_csp(
-    ts: TransformedSystem, table_cap: int = DEFAULT_TABLE_CAP
-) -> CspInstance:
+def export_checks_csp(ts: TransformedSystem) -> CspInstance:
     """The check family as a native truth-table CSP over the proof bits, so a
     transformed system can round-trip through the instance tooling. Its
     brute-force optimum is exhaustive_adversary's value: each is the other's
@@ -395,9 +393,9 @@ def export_checks_csp(
     for j in range(ts.num_checks):
         chk = ts.check(j)
         w = len(chk.transcript)
-        if (1 << w) > table_cap:
+        if (1 << w) > DEFAULT_TABLE_CAP:
             raise ResourceCapError(
-                f"check {j} reads {w} positions; table would exceed cap {table_cap}"
+                f"check {j} reads {w} positions; table would exceed cap {DEFAULT_TABLE_CAP}"
             )
         patterns = np.arange(1 << w, dtype=np.int64)
         # pattern bit for transcript column i sits at weight w-1-i (scope order)

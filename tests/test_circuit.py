@@ -483,10 +483,3 @@ class TestSerialization:
         )
         assert serialize_circuit(bare).startswith("rcirc 4 1 deterministic 1/2\n")
         assert parse_circuit(serialize_circuit(bare)).scheme is None
-
-
-def test_scheme_from_gap():
-    from gapforge.csp import GapSpec
-
-    scheme = ThresholdScheme.from_gap(GapSpec(Fraction(9, 10), Fraction(6, 10)))
-    assert scheme == DEFAULT_SCHEME

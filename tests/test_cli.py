@@ -130,6 +130,15 @@ class TestOracleCommand:
         doc = json.loads(report.read_text())
         assert doc["result"]["optimum"] == "1/2"
 
+    def test_zero_variable_optimum(self, tmp_path):
+        # a contradiction and a tautology over no variables: optimum 1/2
+        gcsp = tmp_path / "zero.gcsp"
+        gcsp.write_text("gcsp 0 2 0\n0 0\n0 1\n")
+        report = tmp_path / "o.json"
+        assert run(["oracle", "--input", str(gcsp), "--report", str(report)]) == 0
+        result = json.loads(report.read_text())["result"]
+        assert result["optimum"] == "1/2" and not result["degenerate"]
+
     def test_cap_exit_code(self, tmp_path):
         cnf = tmp_path / "wide.cnf"
         cnf.write_text(serialize(random_3sat(26, 10, 1)))
@@ -158,6 +167,20 @@ class TestGapReduceCommand:
         ])
         assert code == 0
         assert json.loads(report.read_text())["driver"]["answer"] == "NO"
+
+    def test_zero_variable_contradictions_verdict_no(self, tmp_path):
+        # 48 empty-scope contradictions have optimum 0: a NO input under the
+        # default one-sided parameters, so no trial may answer YES
+        gcsp = tmp_path / "zero48.gcsp"
+        gcsp.write_text("gcsp 0 48 0\n" + "0 0\n" * 48)
+        report = tmp_path / "g.json"
+        code = run([
+            "gap-reduce", "--input", str(gcsp), "--seed", "0", "--trials", "8",
+            "--report", str(report),
+        ])
+        assert code == 0
+        driver = json.loads(report.read_text())["driver"]
+        assert driver["answer"] == "NO" and driver["trials_run"] == 8
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gapforge.csp as csp_mod
 from gapforge.csp import (
     Clause,
     CspInstance,
@@ -115,6 +116,13 @@ class TestSatisfiedFraction:
         inst = CspInstance(3, ())
         assert inst.degenerate
         assert satisfied_fraction(inst, (0, 1, 0)) == 1
+
+    def test_zero_variables_with_clauses_not_degenerate(self):
+        # gcsp 0 2 0 with a contradiction and a tautology: the one empty
+        # assignment satisfies half the clauses
+        inst = parse_gcsp("gcsp 0 2 0\n0 0\n0 1\n")
+        assert not inst.degenerate
+        assert satisfied_fraction(inst, ()) == Fraction(1, 2)
 
     def test_counting(self):
         inst = CspInstance(
@@ -307,19 +315,8 @@ class TestCspTo3Sat:
         w = 4
         assert out.num_vars <= inst.num_vars + inst.num_clauses * (1 << w) * w
 
-    def test_table_cap(self):
+    def test_table_cap(self, monkeypatch):
+        monkeypatch.setattr(csp_mod, "DEFAULT_TABLE_CAP", 8)
         inst = CspInstance(5, (Clause(tuple(range(5)), 1),))
         with pytest.raises(ResourceCapError):
-            csp_to_3sat(inst, table_cap=8)
-
-
-class TestGapSpec:
-    def test_validation(self):
-        from gapforge.csp import GapSpec
-
-        spec = GapSpec(Fraction(9, 10), Fraction(6, 10))
-        assert spec.gap == Fraction(3, 10)
-        with pytest.raises(ValueError):
-            GapSpec(Fraction(1, 2), Fraction(3, 4))
-        with pytest.raises(ValueError):
-            GapSpec(Fraction(1, 2), Fraction(1, 2))
+            csp_to_3sat(inst)

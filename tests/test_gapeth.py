@@ -13,6 +13,7 @@ from gapforge.errors import GapforgeError, ShapeMismatchError
 from gapforge.gapeth import (
     _BATCH_COLUMNS,
     _BATCH_MAX_COLUMNS,
+    ClauseList,
     ReductionParams,
     _balance_cutoffs,
     _distinct_columns,
@@ -24,7 +25,6 @@ from gapforge.gapeth import (
     _threshold_clause,
     canonical_no_instance,
     check_balanced,
-    exact_repeat_list,
     list_instance,
     one_sided_sweep,
     reduce_one_sided,
@@ -111,12 +111,6 @@ class TestParams:
         with pytest.raises(GapforgeError):
             ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=0, t=2, seed=0)
 
-    def test_paper_normalization(self):
-        p = small_params(epsilon=Fraction(1, 4)).paper_normalized()
-        assert p.epsilon < Fraction(1, 100)
-        tiny = small_params(epsilon=Fraction(1, 200)).paper_normalized()
-        assert tiny.epsilon == Fraction(1, 200)
-
     def test_k_condition(self, red_params):
         assert red_params.k_condition_value == Fraction(256, 9 * 64)
         assert red_params.k_condition_ok
@@ -131,25 +125,22 @@ class TestLists:
         assert sample_list(base, p) != sample_list(base, replace(p, seed=10))
 
     def test_exact_repeat_balanced(self):
-        base = random_3sat(6, 12, 1)
+        # the 12 base clauses, each listed t = 3 times
         p = small_params(epsilon=Fraction(1, 3), t=3)
-        lst = exact_repeat_list(base, 3)
+        lst = ClauseList(entries=tuple(range(12)) * 3, base_clauses=12, t=3)
         rep = check_balanced(lst, p)
         assert rep.balanced and not rep.floored
 
     def test_concentrated_list_unbalanced(self):
-        base = random_3sat(6, 12, 1)
         p = small_params(t=3)
-        from gapforge.gapeth import ClauseList
-
         lst = ClauseList(entries=(0,) * 36, base_clauses=12, t=3)
         rep = check_balanced(lst, p)
         assert not rep.balanced and not rep.heavy_ok
 
     def test_flooring_flagged(self):
-        base = random_3sat(5, 10, 2)
         p = small_params(s=Fraction(1, 3), epsilon=Fraction(1, 4), t=3)
-        rep = check_balanced(exact_repeat_list(base, 3), p)
+        lst = ClauseList(entries=tuple(range(10)) * 3, base_clauses=10, t=3)
+        rep = check_balanced(lst, p)
         assert rep.floored
 
     def test_extremal_sums_match_subset_enumeration(self):
@@ -525,6 +516,18 @@ class TestDriver:
             fam=red_family,
         )
         assert rep.answer and rep.yes_trial is not None
+
+    def test_one_sided_needs_a_family(self, red_params, no_bases):
+        with pytest.raises(GapforgeError, match="sampler family"):
+            solve_driver(no_bases[0][0], red_params, 1, subroutine=is_satisfiable)
+
+    def test_zero_variable_contradictions_never_yes(self, red_params, red_family):
+        # 48 empty-scope contradictions: optimum 0, so no trial may answer YES
+        base = CspInstance(0, (Clause((), 0),) * 48)
+        rep = solve_driver(
+            base, red_params, 8, subroutine=is_satisfiable, fam=red_family
+        )
+        assert not rep.answer and rep.trials_run == 8
 
     def test_subroutine_failure_carries_trial(self, red_params, red_family, no_bases):
         def broken(inst):

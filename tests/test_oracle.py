@@ -38,6 +38,14 @@ class TestBruteForce:
         rep = brute_force_opt(CspInstance(0, ()))
         assert rep.degenerate and rep.optimum == 1
 
+    def test_zero_variables_with_clauses(self):
+        contradiction, tautology = Clause((), 0), Clause((), 1)
+        rep = brute_force_opt(CspInstance(0, (contradiction, tautology)))
+        assert not rep.degenerate and rep.optimum == Fraction(1, 2)
+        assert rep.enumeration_size == 1 and rep.argmax == ()
+        assert not is_satisfiable(CspInstance(0, (contradiction,) * 48))
+        assert is_satisfiable(CspInstance(0, (tautology,) * 3))
+
     def test_cap(self):
         inst = CspInstance(30, (disjunction([(0, True)]),))
         with pytest.raises(ResourceCapError):

@@ -373,9 +373,10 @@ class TestExport:
         adv = exhaustive_adversary(ts)
         assert brute_force_opt(exported).optimum == adv.value
 
-    def test_export_cap(self, det_circuits):
+    def test_export_cap(self, det_circuits, monkeypatch):
+        monkeypatch.setattr(transform_mod, "DEFAULT_TABLE_CAP", 1 << 10)
         inst = random_3sat(4, 16, 5)
         c, cert = det_circuits[16]
         ts = transform(inst, c, certificate=cert)
         with pytest.raises(ResourceCapError):
-            export_checks_csp(ts, table_cap=1 << 10)
+            export_checks_csp(ts)
