@@ -25,7 +25,13 @@ from .csp import (
     csp_to_3sat,
     table_from_bits,
 )
-from .errors import GapforgeError, InfeasibleParametersError, ResourceCapError, ShapeMismatchError
+from .errors import (
+    GapforgeError,
+    InfeasibleParametersError,
+    MalformedInstanceError,
+    ResourceCapError,
+    ShapeMismatchError,
+)
 from .oracle import chernoff_tail, lll_condition
 from .sampler import (
     SamplerFamily,
@@ -348,6 +354,17 @@ def _two_sided_draws(seed: int, n: int, m: int, k: int) -> np.ndarray:
     return rng_from(derive_seed(seed, 0x25ED)).integers(0, m, size=(n, k))
 
 
+def _check_two_sided_base(base: CspInstance) -> None:
+    """Refuse a base with clauses but no variables: the reduction makes one
+    output clause per variable, so its output would be empty and accepted
+    whatever the base's optimum."""
+    if base.num_vars == 0 and base.num_clauses > 0:
+        raise MalformedInstanceError(
+            f"the two-sided reduction needs variables; the base has none and "
+            f"{base.num_clauses} clauses"
+        )
+
+
 def reduce_two_sided(
     base: CspInstance, p: ReductionParams
 ) -> tuple[CspInstance, TwoSidedReport]:
@@ -357,6 +374,7 @@ def reduce_two_sided(
     Accepts any truth-table base (the threshold machinery never looks inside
     clauses), though the intended inputs are bounded-width SAT instances.
     """
+    _check_two_sided_base(base)
     n = base.num_vars
     draws = _two_sided_draws(p.seed, n, base.num_clauses, p.k)
     thr_count = threshold_count(p.threshold, p.k)
@@ -601,6 +619,7 @@ def two_sided_sweep(
     Trial i reproduces reduce_two_sided at seed derive_seed(p.seed, i); used
     to chart how the NO-side failure frequency falls as k grows.
     """
+    _check_two_sided_base(base)
     if base.num_vars > 16:
         raise ResourceCapError("sweep enumerates 2^n columns; need n <= 16")
     n, m = base.num_vars, base.num_clauses

@@ -21,10 +21,15 @@ from .util import derive_seed, floor_frac, frac_str, threshold_count, wilson_int
 
 DEFAULT_ASSIGNMENT_CAP = 24
 LAYER_WIDTH_CAP = 22
-# assignments per sweep block: each per-clause or per-gate temporary (at most
-# 8 bytes per assignment, 256 KB) stays in cache; at n=20, m=96 the count
-# sweep took about 4x longer with blocks of 2^20
+# assignments per sweep block: each per-gate temporary of the layer sweep (at
+# most 8 bytes per assignment, 256 KB) stays in cache, and is_satisfiable
+# stops after the first block that holds a satisfying assignment
 _CHUNK = 1 << 15
+# entries of the split product's B (term rows x 2^h) built once and kept, 16 MB
+# of float32; an instance with more terms builds each block's rows per block
+_TERM_ENTRIES = 1 << 22
+# float32 sums of 0/1 values are exact below this clause count
+_FLOAT32_EXACT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,11 @@ class OracleReport:
 
 
 def clause_sat_matrix(inst: CspInstance, assignments: np.ndarray) -> np.ndarray:
-    """Rows: clauses, columns: assignment integers (bit v = variable v)."""
+    """Rows: clauses, columns: assignment integers (bit v = variable v).
+
+    Built clause by clause, independently of the split-product kernel behind
+    brute_force_opt and is_satisfiable: the tests check the kernel's counts
+    against its column sums. The exhaustive adversary also reads it."""
     out = np.empty((inst.num_clauses, assignments.size), dtype=np.uint8)
     for row, clause in enumerate(inst.clauses):
         out[row] = clause_values(clause, assignments)
@@ -55,27 +64,120 @@ def clause_sat_matrix(inst: CspInstance, assignments: np.ndarray) -> np.ndarray:
 
 def satisfied_counts_vector(inst: CspInstance, assignments: np.ndarray) -> np.ndarray:
     """Number of satisfied clauses for each assignment integer, accumulated
-    clause by clause without the clause x assignment matrix."""
+    clause by clause without the clause x assignment matrix.
+
+    A clause-by-clause reference kept to cross-check the split-product kernel
+    behind brute_force_opt and is_satisfiable; no sweep calls it."""
     counts = np.zeros(assignments.size, dtype=np.int64)
     for clause in inst.clauses:
         counts += clause_values(clause, assignments)
     return counts
 
 
+def _table_index(scopes: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(clauses x words) table index of each clause (row of scopes, scope[0]
+    the most significant bit) on each assignment integer, one scope position
+    at a time."""
+    idx = np.zeros((scopes.shape[0], words.size), dtype=np.int64)
+    for i in range(scopes.shape[1]):
+        idx = (idx << 1) | ((words >> scopes[:, i : i + 1]) & 1)
+    return idx
+
+
+def _arity_classes(clauses: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per clause arity k, in increasing order: the scopes (c x k) and the
+    tables (c x bytes), each packed little-endian so that T_j[a] is bit a of
+    row j."""
+    by_arity: dict[int, list] = {}
+    for clause in clauses:
+        by_arity.setdefault(clause.arity, []).append(clause)
+    out = []
+    for k, group in sorted(by_arity.items()):
+        c, nbytes = len(group), ((1 << k) + 7) // 8
+        raw = b"".join(cl.table.to_bytes(nbytes, "little") for cl in group)
+        scopes = np.array([cl.scope for cl in group], dtype=np.int64).reshape(c, k)
+        out.append((scopes, np.frombuffer(raw, np.uint8).reshape(c, nbytes)))
+    return out
+
+
+def _split_terms(
+    scopes: np.ndarray, tables: np.ndarray, hi_words: np.ndarray, lo_words: np.ndarray, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """The split-product factors of one arity class (see _arity_classes) for
+    assignments hi + lo over the given hi words (multiples of 2^h) and lo
+    words (below 2^h).
+
+    A clause's table index on hi + lo is a + b, with a its index on hi and b
+    its index on lo. Row (j, a) of B is T_j[a + b(lo)] over lo, for the pairs
+    (j, a) that occur; cols[r, j] is the B row of clause j at hi word r, so
+    the counts at hi word r are sum_j B[cols[r, j]]."""
+    c, stride = tables.shape[0], 8 * tables.shape[1]
+    # the bit offset j * stride + a of T_j[a] names the pair (j, a)
+    keys = (np.arange(c, dtype=np.int64) * stride)[:, None] + _table_index(scopes, hi_words)
+    pairs, cols = np.unique(keys.T, return_inverse=True)
+    lo_index = _table_index(scopes, lo_words)
+    packed = tables.ravel()
+    B = np.empty((pairs.size, lo_words.size), dtype=dtype)
+    # _CHUNK entries at a time, so that the int64 bit offsets stay small
+    step = max(1, _CHUNK // lo_words.size)
+    for r in range(0, pairs.size, step):
+        bit = lo_index[pairs[r : r + step] // stride] + pairs[r : r + step, None]
+        B[r : r + step] = (packed[bit >> 3] >> (bit & 7).astype(np.uint8)) & 1
+    return cols.reshape(hi_words.size, c), B
+
+
 def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray]]:
     """Raise now if 2^n exceeds the cap; otherwise the sweep over all 2^n
-    assignments as (first assignment, satisfied counts) per block of _CHUNK,
-    computed only as it is iterated."""
+    assignments as (first assignment, int64 satisfied counts) per block of at
+    most _CHUNK, in x order, computed only as it is iterated.
+
+    Assignment x splits as hi * 2^h + lo, the lo side holding variables 0 to
+    h - 1. The counts of a block of hi rows are one product A @ B per arity
+    (see _split_terms), for the one-hot A[hi, (j, a)] = [clause j reads
+    a on hi] built per block, and row-major order of A @ B is x order. B is
+    built once when it has at most _TERM_ENTRIES entries. Otherwise each
+    block builds only the B rows its own hi words read, in clause groups of
+    at most that many entries, so memory stays bounded for wide clauses,
+    whose B is as large as their tables. Float sums of 0/1 terms are exact
+    while the clause count stays below _FLOAT32_EXACT (float32) or 2^53
+    (float64)."""
     if inst.num_vars > cap:
         raise ResourceCapError(
             f"{inst.num_vars} variables exceeds enumeration cap {cap}"
         )
-    total = 1 << inst.num_vars
 
     def blocks():
-        for lo in range(0, total, _CHUNK):
-            block = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-            yield lo, satisfied_counts_vector(inst, block)
+        n = inst.num_vars
+        h = min((n + 1) // 2, _CHUNK.bit_length() - 1)
+        rows = min(_CHUNK >> h, 1 << (n - h))
+        dtype = np.float32 if inst.num_clauses < _FLOAT32_EXACT else np.float64
+        lo_words = np.arange(1 << h, dtype=np.int64)
+        hi_words = np.arange(1 << (n - h), dtype=np.int64) << h
+        classes = _arity_classes(inst.clauses)
+        num_pairs = sum(int((1 << (sc >= h).sum(axis=1)).sum()) for sc, _ in classes)
+        cached = None
+        if num_pairs << h <= _TERM_ENTRIES:
+            cached = [_split_terms(*c, hi_words, lo_words, dtype) for c in classes]
+        else:
+            # a block reads at most rows pairs per clause, each a B row of 2^h
+            size = max(1, _TERM_ENTRIES // (rows << h))
+            groups = [
+                (sc[i : i + size], tb[i : i + size])
+                for sc, tb in classes
+                for i in range(0, len(sc), size)
+            ]
+        for r0 in range(0, hi_words.size, rows):
+            block = hi_words[r0 : r0 + rows]
+            if cached is None:
+                terms = (_split_terms(*g, block, lo_words, dtype) for g in groups)
+            else:
+                terms = ((cols[r0 : r0 + rows], B) for cols, B in cached)
+            acc = np.zeros((block.size, lo_words.size), dtype=dtype)
+            for cols, B in terms:
+                A = np.zeros((block.size, B.shape[0]), dtype=dtype)
+                np.put_along_axis(A, cols, 1.0, axis=1)
+                acc += A @ B
+            yield r0 << h, acc.ravel().astype(np.int64)
 
     return blocks()
 

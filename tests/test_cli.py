@@ -182,6 +182,20 @@ class TestGapReduceCommand:
         driver = json.loads(report.read_text())["driver"]
         assert driver["answer"] == "NO" and driver["trials_run"] == 8
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_zero_variable_two_sided_refused(self, tmp_path, dry_run, capsys):
+        # the two-sided reduction has no output clauses without variables, so
+        # it refuses the base instead of answering YES on every trial
+        gcsp = tmp_path / "zero48.gcsp"
+        gcsp.write_text("gcsp 0 48 0\n" + "0 0\n" * 48)
+        report = tmp_path / "g.json"
+        code = run([
+            "gap-reduce", "--input", str(gcsp), "--mode", "two-sided", "--seed", "0",
+            "--report", str(report),
+        ] + ["--dry-run"] * dry_run)
+        assert code == 2 and not report.exists()
+        assert "needs variables" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_transform_outputs_byte_identical_across_reruns(self, toy_cnf, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from gapforge import gapeth
 from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
-from gapforge.errors import GapforgeError, ShapeMismatchError
+from gapforge.errors import GapforgeError, MalformedInstanceError, ShapeMismatchError
 from gapforge.gapeth import (
     _BATCH_COLUMNS,
     _BATCH_MAX_COLUMNS,
@@ -203,6 +203,18 @@ class TestTwoSided:
         p = small_params(k=8)
         out, _ = reduce_two_sided(base, p)
         assert brute_force_opt(out).optimum == 0
+
+    def test_zero_variable_base_refused(self):
+        # one output clause per variable: an empty output would accept the
+        # 48 contradictions on every trial
+        base = CspInstance(0, (Clause((), 0),) * 48)
+        p = small_params(k=8)
+        with pytest.raises(MalformedInstanceError, match="needs variables"):
+            reduce_two_sided(base, p)
+        with pytest.raises(MalformedInstanceError, match="needs variables"):
+            two_sided_sweep(base, p, trials=4)
+        with pytest.raises(MalformedInstanceError, match="needs variables"):
+            solve_driver(base, p, 4, subroutine=is_satisfiable, reduction="two-sided")
 
     @pytest.mark.parametrize("n", [12, 17])
     def test_clauses_match_threshold_reference(self, n):

@@ -1,14 +1,18 @@
 """Ground-truth oracle behavior, tail-bound formulas, estimators."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gapforge import oracle
 from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
 from gapforge.errors import ResourceCapError
+from gapforge.gapeth import reduce_one_sided
 from gapforge.oracle import (
+    _count_blocks,
     brute_force_opt,
     chernoff_tail,
     clause_sat_matrix,
@@ -98,6 +102,105 @@ class TestBruteForce:
         assert rep.optimum == Fraction(int(counts[j]), 60)
         assert rep.argmax == tuple((j >> v) & 1 for v in range(17))
         assert is_satisfiable(inst) == bool(counts[j] == 60)
+
+
+def random_table_instance(n, m, arities, seed):
+    """m clauses with random truth tables, arity cycling through arities
+    (capped at n), over random scopes of distinct variables."""
+    rng = rng_from(seed)
+    clauses = []
+    for i in range(m):
+        k = min(arities[i % len(arities)], n)
+        scope = tuple(int(v) for v in rng.choice(n, k, replace=False))
+        table = int.from_bytes(rng.bytes(((1 << k) + 7) // 8), "little")
+        clauses.append(Clause(scope, table & ((1 << (1 << k)) - 1)))
+    return CspInstance(n, tuple(clauses))
+
+
+def assert_kernel_matches_reference(inst, cap=24):
+    """The split-product sweep against clause_sat_matrix over all 2^n
+    assignments: the counts block by block, the optimum with its lowest
+    argmax, and satisfiability."""
+    n, m = inst.num_vars, inst.num_clauses
+    want = clause_sat_matrix(inst, np.arange(1 << n, dtype=np.uint64)).sum(axis=0)
+    starts, parts = zip(*_count_blocks(inst, cap))
+    assert all(c.dtype == np.int64 and c.size <= oracle._CHUNK for c in parts)
+    assert list(starts) == list(np.cumsum([0] + [c.size for c in parts[:-1]]))
+    assert np.array_equal(np.concatenate(parts), want)
+    rep = brute_force_opt(inst, cap)
+    j = int(np.argmax(want))
+    assert rep.optimum == Fraction(int(want[j]), m)
+    assert rep.argmax == tuple((j >> v) & 1 for v in range(n))
+    assert is_satisfiable(inst, cap) == bool(want[j] == m)
+    return want
+
+
+class TestSplitKernel:
+    """The split-product counts of _count_blocks, checked against the
+    clause-by-clause reference clause_sat_matrix."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 17])
+    def test_mixed_arities(self, n):
+        inst = random_table_instance(n, 40, list(range(9)), seed=n)
+        assert_kernel_matches_reference(inst)
+
+    def test_clauses_wholly_on_one_side(self):
+        # n = 10 splits at h = 5: variables 0-4 are the lo side, 5-9 the hi
+        rng = rng_from(31)
+        clauses = []
+        for side in (range(0, 5), range(5, 10)):
+            for k in (1, 2, 3, 5):
+                scope = tuple(int(v) for v in rng.choice(list(side), k, replace=False))
+                clauses.append(Clause(scope, int(rng.integers(1, (1 << (1 << k)) - 1))))
+        assert_kernel_matches_reference(CspInstance(10, tuple(clauses)))
+
+    def test_ties_break_low(self):
+        # every odd x is optimal, so the argmax is x = 1
+        odd = CspInstance(9, (Clause((0,), 0b10), Clause((8,), 0b10), Clause((8,), 0b01)))
+        counts = assert_kernel_matches_reference(odd)
+        assert (counts == 2).sum() == 256 and brute_force_opt(odd).argmax[:2] == (1, 0)
+        # the optimum needs x16 = 1 and x3 = 0: the first maximizer 2^16 lies
+        # in the third block, and 2^15 - 1 later ones tie with it
+        top = CspInstance(17, (Clause((16,), 0b10),) * 3 + (Clause((3, 16), 0b0110),))
+        counts = assert_kernel_matches_reference(top)
+        assert (counts == 4).sum() == 1 << 15
+        assert brute_force_opt(top).argmax == (0,) * 16 + (1,)
+        # unit pairs: every assignment ties at 1/2
+        assert_kernel_matches_reference(unit_pair_instance(6, 12, (0, 2, 5)))
+
+    def test_one_sided_outputs(self, red_params, red_family, no_bases, yes_bases):
+        bases = [inst for inst, _ in no_bases + yes_bases[:1]]
+        for i, base in enumerate(bases):
+            for trial in range(2):
+                p = replace(red_params, seed=derive_seed(red_params.seed, i, trial))
+                out, _ = reduce_one_sided(base, p, red_family)
+                assert_kernel_matches_reference(out, cap=16)
+
+    def test_float64_path(self, monkeypatch):
+        dtypes = []
+        split_terms = oracle._split_terms
+
+        def recording(*args):
+            dtypes.append(args[-1])
+            return split_terms(*args)
+
+        monkeypatch.setattr(oracle, "_split_terms", recording)
+        inst = random_table_instance(11, 30, [0, 2, 3, 7], seed=5)
+        assert_kernel_matches_reference(inst)
+        assert set(dtypes) == {np.float32}
+        # 30 clauses are counted in float64 once the cut is 30
+        monkeypatch.setattr(oracle, "_FLOAT32_EXACT", 30)
+        dtypes.clear()
+        assert_kernel_matches_reference(inst)
+        assert set(dtypes) == {np.float64}
+
+    @pytest.mark.parametrize("entries", [1, 1 << 12])
+    def test_terms_built_per_block(self, monkeypatch, entries):
+        # below the instance's term count every block builds its own terms,
+        # in clause groups of at most `entries` B entries
+        monkeypatch.setattr(oracle, "_TERM_ENTRIES", entries)
+        assert_kernel_matches_reference(random_table_instance(17, 24, [1, 3, 8], seed=9))
+        assert_kernel_matches_reference(random_table_instance(6, 24, [0, 3, 6], seed=9))
 
 
 class TestLayerCheck:
