@@ -25,8 +25,9 @@ LAYER_WIDTH_CAP = 22
 # most 8 bytes per assignment, 256 KB) stays in cache, and is_satisfiable
 # stops after the first block that holds a satisfying assignment
 _CHUNK = 1 << 15
-# entries of the split product's B (term rows x 2^h) built once and kept, 16 MB
-# of float32; an instance with more terms builds each block's rows per block
+# bound on the split product's kept arrays: B (term rows x 2^h, 16 MB of
+# float32) and the clause x 2^(n - h) hi-side indices; larger instances are
+# swept clause by clause
 _TERM_ENTRIES = 1 << 22
 # float32 sums of 0/1 values are exact below this clause count
 _FLOAT32_EXACT = 1 << 24
@@ -66,8 +67,9 @@ def satisfied_counts_vector(inst: CspInstance, assignments: np.ndarray) -> np.nd
     """Number of satisfied clauses for each assignment integer, accumulated
     clause by clause without the clause x assignment matrix.
 
-    A clause-by-clause reference kept to cross-check the split-product kernel
-    behind brute_force_opt and is_satisfiable; no sweep calls it."""
+    The clause-by-clause reference the split-product kernel behind
+    brute_force_opt and is_satisfiable is checked against, and the sweep of
+    instances too large for that kernel's kept arrays (see _count_blocks)."""
     counts = np.zeros(assignments.size, dtype=np.int64)
     for clause in inst.clauses:
         counts += clause_values(clause, assignments)
@@ -134,13 +136,13 @@ def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray
     Assignment x splits as hi * 2^h + lo, the lo side holding variables 0 to
     h - 1. The counts of a block of hi rows are one product A @ B per arity
     (see _split_terms), for the one-hot A[hi, (j, a)] = [clause j reads
-    a on hi] built per block, and row-major order of A @ B is x order. B is
-    built once when it has at most _TERM_ENTRIES entries. Otherwise each
-    block builds only the B rows its own hi words read, in clause groups of
-    at most that many entries, so memory stays bounded for wide clauses,
-    whose B is as large as their tables. Float sums of 0/1 terms are exact
-    while the clause count stays below _FLOAT32_EXACT (float32) or 2^53
-    (float64)."""
+    a on hi] built per block, and row-major order of A @ B is x order. B and
+    the hi-side indices are built once and kept, so the product is taken
+    only while B and the clause x 2^(n - h) indices each have at most
+    _TERM_ENTRIES entries; larger instances are counted block by block with
+    satisfied_counts_vector, in O(_CHUNK) memory. Float sums of 0/1 terms
+    are exact while the clause count stays below _FLOAT32_EXACT (float32) or
+    2^53 (float64)."""
     if inst.num_vars > cap:
         raise ResourceCapError(
             f"{inst.num_vars} variables exceeds enumeration cap {cap}"
@@ -149,33 +151,25 @@ def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray
     def blocks():
         n = inst.num_vars
         h = min((n + 1) // 2, _CHUNK.bit_length() - 1)
+        classes = _arity_classes(inst.clauses)
+        num_pairs = sum(int((1 << (sc >= h).sum(axis=1)).sum()) for sc, _ in classes)
+        if max(num_pairs << h, max(inst.num_clauses, 1) << (n - h)) > _TERM_ENTRIES:
+            total = 1 << n
+            for x0 in range(0, total, _CHUNK):
+                block = np.arange(x0, min(x0 + _CHUNK, total), dtype=np.uint64)
+                yield x0, satisfied_counts_vector(inst, block)
+            return
         rows = min(_CHUNK >> h, 1 << (n - h))
         dtype = np.float32 if inst.num_clauses < _FLOAT32_EXACT else np.float64
         lo_words = np.arange(1 << h, dtype=np.int64)
         hi_words = np.arange(1 << (n - h), dtype=np.int64) << h
-        classes = _arity_classes(inst.clauses)
-        num_pairs = sum(int((1 << (sc >= h).sum(axis=1)).sum()) for sc, _ in classes)
-        cached = None
-        if num_pairs << h <= _TERM_ENTRIES:
-            cached = [_split_terms(*c, hi_words, lo_words, dtype) for c in classes]
-        else:
-            # a block reads at most rows pairs per clause, each a B row of 2^h
-            size = max(1, _TERM_ENTRIES // (rows << h))
-            groups = [
-                (sc[i : i + size], tb[i : i + size])
-                for sc, tb in classes
-                for i in range(0, len(sc), size)
-            ]
+        terms = [_split_terms(*c, hi_words, lo_words, dtype) for c in classes]
         for r0 in range(0, hi_words.size, rows):
             block = hi_words[r0 : r0 + rows]
-            if cached is None:
-                terms = (_split_terms(*g, block, lo_words, dtype) for g in groups)
-            else:
-                terms = ((cols[r0 : r0 + rows], B) for cols, B in cached)
             acc = np.zeros((block.size, lo_words.size), dtype=dtype)
             for cols, B in terms:
                 A = np.zeros((block.size, B.shape[0]), dtype=dtype)
-                np.put_along_axis(A, cols, 1.0, axis=1)
+                np.put_along_axis(A, cols[r0 : r0 + rows], 1.0, axis=1)
                 acc += A @ B
             yield r0 << h, acc.ravel().astype(np.int64)
 

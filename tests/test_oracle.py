@@ -194,13 +194,36 @@ class TestSplitKernel:
         assert_kernel_matches_reference(inst)
         assert set(dtypes) == {np.float64}
 
-    @pytest.mark.parametrize("entries", [1, 1 << 12])
-    def test_terms_built_per_block(self, monkeypatch, entries):
-        # below the instance's term count every block builds its own terms,
-        # in clause groups of at most `entries` B entries
-        monkeypatch.setattr(oracle, "_TERM_ENTRIES", entries)
-        assert_kernel_matches_reference(random_table_instance(17, 24, [1, 3, 8], seed=9))
-        assert_kernel_matches_reference(random_table_instance(6, 24, [0, 3, 6], seed=9))
+    @pytest.mark.parametrize(
+        "n, arities, chunk",
+        [(17, [1, 3, 8], 1 << 15), (6, [0, 3, 6], 1 << 15), (9, [9], 1 << 15),
+         (14, [1], 1 << 5)],
+    )
+    def test_large_instances_swept_clause_by_clause(self, monkeypatch, n, arities, chunk):
+        # the product runs while B (term rows x 2^h) and the clause x 2^(n - h)
+        # hi-side indices both fit in _TERM_ENTRIES; one entry less and the
+        # clause-by-clause sweep counts instead. The indices bind only once h
+        # is clamped by the block size, as at n = 14 in blocks of 2^5
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        inst = random_table_instance(n, 24, arities, seed=9)
+        h = min((n + 1) // 2, chunk.bit_length() - 1)
+        pairs = sum(1 << sum(v >= h for v in cl.scope) for cl in inst.clauses)
+        need = max(pairs << h, inst.num_clauses << (n - h))
+        calls = []
+        split_terms = oracle._split_terms
+
+        def recording(*args):
+            calls.append(args[0].shape[0])
+            return split_terms(*args)
+
+        monkeypatch.setattr(oracle, "_split_terms", recording)
+        monkeypatch.setattr(oracle, "_TERM_ENTRIES", need)
+        assert_kernel_matches_reference(inst)
+        assert sum(calls) == 24 * 3
+        calls.clear()
+        monkeypatch.setattr(oracle, "_TERM_ENTRIES", need - 1)
+        assert_kernel_matches_reference(inst)
+        assert calls == []
 
 
 class TestLayerCheck:
