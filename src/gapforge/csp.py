@@ -197,6 +197,8 @@ def parse_dimacs(text: str | bytes) -> CspInstance:
         if line.startswith("%"):
             break
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError("second 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"malformed header {line!r}", lineno)
@@ -259,6 +261,8 @@ def parse_gcsp(text: str | bytes) -> CspInstance:
         n, m, width = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError(f"malformed header {header!r}", no) from None
+    if min(n, m, width) < 0:
+        raise ParseError("negative counts in header", no)
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header declares {m} clauses, found {len(body)}", no)

@@ -635,33 +635,24 @@ def two_sided_sweep(
 
 # one_sided_sweep counts balanced trials in batches when M has at most
 # _BATCH_MAX_COLUMNS distinct columns, about _BATCH_COLUMNS columns of
-# M[entries] per batch, multiplying _INCIDENCE_ROWS incidence rows at a time
-# (a 1.5 MB float32 block at 1536 positions)
+# M[entries] per batch
 _BATCH_MAX_COLUMNS = 20
 _BATCH_COLUMNS = 512
-_INCIDENCE_ROWS = 256
 
 
-def _incidence_maxima(
-    sets: np.ndarray, block: np.ndarray, Y: np.ndarray, thr_count: int
-) -> np.ndarray:
+def _gather_maxima(sets: np.ndarray, Y: np.ndarray, thr_count: int) -> np.ndarray:
     """Per trial, the most sets whose count reaches thr_count in any one
-    column, for the (L x trials x d) stack Y of the trials' M[entries].
+    column, for the (L x trials x d) uint8 stack Y of the trials' M[entries].
 
-    The counts are Inc @ Y for the family's 0/1 set-by-position incidence
-    Inc, taken a block of rows at a time: each row block is written from
-    sets into the reused float32 buffer block, so no whole Inc is held.
-    Float32 is exact for these integer counts."""
+    A set's counts are the sum of the rows of Y at its C positions, added
+    one position column of sets at a time in the smallest unsigned type
+    that holds C, so they are exact."""
     L, trials, d = Y.shape
     Y = Y.reshape(L, trials * d)
-    sat = np.zeros(trials * d, dtype=np.int64)
-    for lo in range(0, L, block.shape[0]):
-        rows = sets[lo : lo + block.shape[0]]
-        inc = block[: rows.shape[0]]
-        inc.fill(0.0)
-        np.put_along_axis(inc, rows, 1.0, axis=1)
-        sat += (inc @ Y >= float(thr_count)).sum(axis=0)
-    return sat.reshape(trials, d).max(axis=1)
+    counts = np.zeros((sets.shape[0], trials * d), dtype=np.min_scalar_type(sets.shape[1]))
+    for c in range(sets.shape[1]):
+        counts += Y[sets[:, c]]
+    return (counts >= thr_count).sum(axis=0).reshape(trials, d).max(axis=1)
 
 
 def one_sided_sweep(
@@ -676,18 +667,20 @@ def one_sided_sweep(
 
     A balanced trial's per-set counts are Inc @ E @ M, for the family's
     (L x L) 0/1 set-by-position incidence Inc, the trial's (L x m) one-hot
-    list E and the (m x d) matrix M. Which product comes first is a
-    matrix-chain order choice. Inc @ E is the multiplicity matrix that
-    _set_counts bincounts from the trial's L * C draws, followed by one
-    (L x m) @ (m x d) product, so its cost grows slowly with d. E @ M is
-    just M[entries], which leaves Inc @ (L x d): L * L * d multiply-adds,
-    but the blocks of many trials stand side by side in one BLAS product
-    (_incidence_maxima). At L = 1536, C = 64, m = 48 on two cores the batch
-    took 0.20x the per-trial time at d = 2, 0.46x at 8, 0.80x at 16, about
-    1x at 20 to 22 and 2.6x at 64, so trials are batched up to
-    _BATCH_MAX_COLUMNS = 20 columns and counted one by one above it. Each
-    trial's optimum is written to its own slot, so the report does not
-    depend on the path.
+    list E and the (m x d) matrix M; Inc itself is never built. Which
+    product comes first is a matrix-chain order choice. Inc @ E is the
+    multiplicity matrix that _set_counts bincounts from the trial's L * C
+    draws, followed by one (L x m) @ (m x d) product, so its cost grows
+    slowly with d. E @ M is just M[entries], and Inc @ M[entries] sums its
+    rows at each set's C positions: L * C * d small-integer adds, with the
+    columns of many trials side by side (_gather_maxima). Per trial on the
+    criterion-08 family (L = 1536, C = 64, m = 48) on two cores, the gather
+    took 0.03, 0.13, 0.26, 0.33, 0.77 and 4.1 ms at d = 2, 8, 16, 20, 48
+    and 247, and the per-trial path 0.97, 0.76, 0.77, 0.76, 0.83 and
+    1.33 ms. The two cross near d = 48 to 64; trials are batched up to
+    _BATCH_MAX_COLUMNS = 20 columns and counted one by one above it, and no
+    benchmarked base lies between 20 and 64. Each trial's optimum is
+    written to its own slot, so the report does not depend on the path.
 
     Trial i reproduces reduce_one_sided with seed derive_seed(p.seed, i); the
     test suite cross-validates sampled trials against the object-level path.
@@ -703,9 +696,8 @@ def one_sided_sweep(
     d = M.shape[1]
     batch = max(1, _BATCH_COLUMNS // d) if d <= _BATCH_MAX_COLUMNS else 0
     if batch:
-        block = np.empty((min(_INCIDENCE_ROWS, L_len), fam.ground_size), dtype=np.float32)
         # M[entries] of each queued trial, side by side
-        stacked = np.empty((L_len, batch, d), dtype=np.float32)
+        stacked = np.empty((L_len, batch, d), dtype=np.uint8)
     slots = []  # the queued trials
     # unbalanced trials keep the canonical NO instance's optimum; a negative
     # trial count runs none, as range does
@@ -726,6 +718,6 @@ def one_sided_sweep(
             slots.append(trial)
         if slots and (len(slots) == batch or trial == trials - 1):
             queued = stacked[:, : len(slots)]
-            sat_counts[slots] = _incidence_maxima(fam.sets, block, queued, thr_count)
+            sat_counts[slots] = _gather_maxima(fam.sets, queued, thr_count)
             slots = []
     return _sweep_report(sat_counts, L_len, balanced_trials)

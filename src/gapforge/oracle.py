@@ -29,8 +29,6 @@ _CHUNK = 1 << 15
 # float32) and the clause x 2^(n - h) hi-side indices; larger instances are
 # swept clause by clause
 _TERM_ENTRIES = 1 << 22
-# float32 sums of 0/1 values are exact below this clause count
-_FLOAT32_EXACT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ def _arity_classes(clauses: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _split_terms(
-    scopes: np.ndarray, tables: np.ndarray, hi_words: np.ndarray, lo_words: np.ndarray, dtype
+    scopes: np.ndarray, tables: np.ndarray, hi_words: np.ndarray, lo_words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The split-product factors of one arity class (see _arity_classes) for
     assignments hi + lo over the given hi words (multiples of 2^h) and lo
@@ -119,7 +117,7 @@ def _split_terms(
     pairs, cols = np.unique(keys.T, return_inverse=True)
     lo_index = _table_index(scopes, lo_words)
     packed = tables.ravel()
-    B = np.empty((pairs.size, lo_words.size), dtype=dtype)
+    B = np.empty((pairs.size, lo_words.size), dtype=np.float32)
     # _CHUNK entries at a time, so that the int64 bit offsets stay small
     step = max(1, _CHUNK // lo_words.size)
     for r in range(0, pairs.size, step):
@@ -140,9 +138,9 @@ def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray
     the hi-side indices are built once and kept, so the product is taken
     only while B and the clause x 2^(n - h) indices each have at most
     _TERM_ENTRIES entries; larger instances are counted block by block with
-    satisfied_counts_vector, in O(_CHUNK) memory. Float sums of 0/1 terms
-    are exact while the clause count stays below _FLOAT32_EXACT (float32) or
-    2^53 (float64)."""
+    satisfied_counts_vector, in O(_CHUNK) memory. The product thus runs only
+    while num_clauses << (n - h) <= _TERM_ENTRIES = 2^22, so its float32
+    sums of at most num_clauses 0/1 terms are exact (below 2^24)."""
     if inst.num_vars > cap:
         raise ResourceCapError(
             f"{inst.num_vars} variables exceeds enumeration cap {cap}"
@@ -160,15 +158,14 @@ def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray
                 yield x0, satisfied_counts_vector(inst, block)
             return
         rows = min(_CHUNK >> h, 1 << (n - h))
-        dtype = np.float32 if inst.num_clauses < _FLOAT32_EXACT else np.float64
         lo_words = np.arange(1 << h, dtype=np.int64)
         hi_words = np.arange(1 << (n - h), dtype=np.int64) << h
-        terms = [_split_terms(*c, hi_words, lo_words, dtype) for c in classes]
+        terms = [_split_terms(*c, hi_words, lo_words) for c in classes]
         for r0 in range(0, hi_words.size, rows):
             block = hi_words[r0 : r0 + rows]
-            acc = np.zeros((block.size, lo_words.size), dtype=dtype)
+            acc = np.zeros((block.size, lo_words.size), dtype=np.float32)
             for cols, B in terms:
-                A = np.zeros((block.size, B.shape[0]), dtype=dtype)
+                A = np.zeros((block.size, B.shape[0]), dtype=np.float32)
                 np.put_along_axis(A, cols[r0 : r0 + rows], 1.0, axis=1)
                 acc += A @ B
             yield r0 << h, acc.ravel().astype(np.int64)

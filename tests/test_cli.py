@@ -139,6 +139,21 @@ class TestOracleCommand:
         result = json.loads(report.read_text())["result"]
         assert result["optimum"] == "1/2" and not result["degenerate"]
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("neg-vars.gcsp", "gcsp -1 0 0\n"),
+            ("neg-width.gcsp", "gcsp 2 1 -5\n1 0 2\n"),
+            ("two-headers.cnf", "p cnf 3 1\n1 2 0\np cnf 5 2\n4 5 0\n"),
+        ],
+    )
+    def test_malformed_header_exit_code(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        report = tmp_path / "o.json"
+        assert run(["oracle", "--input", str(path), "--report", str(report)]) == 2
+        assert not report.exists()
+
     def test_cap_exit_code(self, tmp_path):
         cnf = tmp_path / "wide.cnf"
         cnf.write_text(serialize(random_3sat(26, 10, 1)))

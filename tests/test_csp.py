@@ -183,6 +183,11 @@ class TestDimacs:
         inst = parse_dimacs("p cnf 3 1\n1\n-2 3 0\n")
         assert inst.clauses[0].as_literals() == ((0, True), (1, False), (2, True))
 
+    def test_second_header(self):
+        with pytest.raises(ParseError) as err:
+            parse_dimacs("p cnf 3 1\n1 2 0\np cnf 5 2\n4 5 0\n")
+        assert err.value.line == 3
+
 
 class TestSerialization:
     def test_3sat_round_trip_bit_identical(self):
@@ -208,6 +213,14 @@ class TestSerialization:
             parse_gcsp("gcsp 2 1\n")
         with pytest.raises(ParseError):
             parse_gcsp("gcsp 2 1 3\n1 5 3\n")  # variable out of range
+
+    @pytest.mark.parametrize(
+        "text", ["gcsp -1 0 0\n", "gcsp 2 -1 0\n", "gcsp 2 1 -5\n1 0 2\n"]
+    )
+    def test_gcsp_negative_header_counts(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_gcsp(text)
+        assert err.value.line == 1
 
     def test_round_trip_random_corpus(self):
         rng = rng_from(99)

@@ -18,7 +18,7 @@ from gapforge.gapeth import (
     _balance_cutoffs,
     _distinct_columns,
     _extremal_sums,
-    _incidence_maxima,
+    _gather_maxima,
     _pattern_sat_matrix,
     _set_counts,
     _sweep_report,
@@ -30,11 +30,13 @@ from gapforge.gapeth import (
     reduce_one_sided,
     reduce_two_sided,
     reduction_family,
+    reduction_family_params,
     sample_list,
     solve_driver,
     two_sided_sweep,
 )
 from gapforge.oracle import brute_force_opt, is_satisfiable
+from gapforge.sampler import SamplerFamily, family_from_sets
 from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
 
 from conftest import random_3sat, unit_pair_instance
@@ -292,6 +294,8 @@ class TestDistinctColumns:
         # optima reach 1 on some trials, so the max and its first trial are
         # both exercised on the 247 distinct columns of the first YES base
         base = yes_bases[0][0]
+        d = _distinct_columns(_pattern_sat_matrix(base)).shape[1]
+        assert d == 247 > _BATCH_MAX_COLUMNS  # counted one trial at a time
         p = replace(red_params, seed=0xE55)
         got = one_sided_sweep(base, p, red_family, 100)
         assert got.optima_at_one > 0
@@ -311,6 +315,7 @@ class TestDistinctColumns:
             assert np.unique(np.concatenate([distinct, M], axis=1), axis=1).shape == distinct.shape
             counts.append(distinct.shape[1])
         assert counts == [2, 8, 8, 16]
+        assert max(counts) <= _BATCH_MAX_COLUMNS  # counted in batches
 
 
 def satisfiable_four_variable_base() -> CspInstance:
@@ -342,7 +347,7 @@ def straddling_bases() -> dict:
 
 
 class TestBatchedSweep:
-    """one_sided_sweep's batched incidence kernel, which counts the balanced
+    """one_sided_sweep's batched gather kernel, which counts the balanced
     trials of bases with at most _BATCH_MAX_COLUMNS distinct columns."""
 
     @pytest.mark.parametrize("d", [2, 16])
@@ -358,19 +363,42 @@ class TestBatchedSweep:
         assert got == reference_one_sided_sweep(base, p, red_family, 3 * batch)
 
     def test_kernel_matches_per_trial_counts(self, red_family):
-        # every trial's maximum, with row blocks that leave a partial last one
+        # every trial's maximum
         base = straddling_bases()[16]
         M = _distinct_columns(_pattern_sat_matrix(base))
         rng = rng_from(0xB10C)
         lists = rng.integers(0, 48, size=(1536, 5))
-        block = np.empty((100, 1536), dtype=np.float32)
-        got = _incidence_maxima(red_family.sets, block, M[lists], 54)
+        got = _gather_maxima(red_family.sets, M[lists].astype(np.uint8), 54)
         want = [
             int((_set_counts(lists[:, i][red_family.sets], M) >= 54).sum(axis=0).max())
             for i in range(5)
         ]
         assert got.tolist() == want
         assert len(set(want)) > 1
+
+    def test_sets_wider_than_255(self, red_params):
+        # 42 of 48 clauses hold at x0 = 1, so most of the 300-position sets
+        # count past 255 there, and the threshold of 254 still splits them
+        base = CspInstance(
+            8, (disjunction([(0, True)]),) * 42 + (disjunction([(0, False)]),) * 6
+        )
+        p = replace(red_params, t=24, seed=5)
+        rng = rng_from(0x3D)
+        sets = [rng.choice(1152, 300, replace=False) for _ in range(1152)]
+        fam = family_from_sets(1152, sets, reduction_family_params(p))
+        assert threshold_count(p.threshold, fam.set_size) == 254
+        got = one_sided_sweep(base, p, fam, 40)
+        assert 0 < got.optima_above_half and got.max_optimum < 1
+        assert got == reference_one_sided_sweep(base, p, fam, 40)
+
+    def test_incidence_never_built(self, monkeypatch, red_params, red_family, no_bases, yes_bases):
+        def refuse(self):
+            raise AssertionError("one_sided_sweep built the incidence matrix")
+
+        monkeypatch.setattr(SamplerFamily, "incidence", refuse)
+        # the batched (d = 2) and the per-trial (d = 247) paths
+        for base in (no_bases[0][0], yes_bases[0][0]):
+            assert one_sided_sweep(base, red_params, red_family, 8).balanced_trials > 0
 
     def test_zero_trials(self, red_params, red_family, no_bases):
         base = no_bases[0][0]

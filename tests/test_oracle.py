@@ -176,24 +176,6 @@ class TestSplitKernel:
                 out, _ = reduce_one_sided(base, p, red_family)
                 assert_kernel_matches_reference(out, cap=16)
 
-    def test_float64_path(self, monkeypatch):
-        dtypes = []
-        split_terms = oracle._split_terms
-
-        def recording(*args):
-            dtypes.append(args[-1])
-            return split_terms(*args)
-
-        monkeypatch.setattr(oracle, "_split_terms", recording)
-        inst = random_table_instance(11, 30, [0, 2, 3, 7], seed=5)
-        assert_kernel_matches_reference(inst)
-        assert set(dtypes) == {np.float32}
-        # 30 clauses are counted in float64 once the cut is 30
-        monkeypatch.setattr(oracle, "_FLOAT32_EXACT", 30)
-        dtypes.clear()
-        assert_kernel_matches_reference(inst)
-        assert set(dtypes) == {np.float64}
-
     @pytest.mark.parametrize(
         "n, arities, chunk",
         [(17, [1, 3, 8], 1 << 15), (6, [0, 3, 6], 1 << 15), (9, [9], 1 << 15),
