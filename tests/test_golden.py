@@ -1,6 +1,7 @@
 """Golden outputs: sha256 of the reports and circuit file of a fixed CLI
 command set, of a deterministic circuit at m=1024 and its certificate, of
-two sampler families, of one-sided and two-sided sweep reports, of one
+two sampler families, of one expander per construction branch and the
+repr of their second eigenvalues, of one-sided and two-sided sweep reports, of one
 serialized 3SAT instance and of two serialized two-sided reductions. A
 refactor that keeps behaviour keeps every hash; a declared correctness fix
 that changes an output updates its hash here."""
@@ -22,7 +23,12 @@ from gapforge.gapeth import (
     reduce_two_sided,
     two_sided_sweep,
 )
-from gapforge.sampler import SamplerParams, build_sampler_family
+from gapforge.sampler import (
+    SamplerParams,
+    build_expander,
+    build_sampler_family,
+    second_eigenvalue,
+)
 from gapforge.util import derive_seed
 
 from conftest import random_3sat, unit_pair_instance
@@ -190,6 +196,70 @@ def test_halved_family_matches_golden():
     params = SamplerParams(Fraction(1, 4), Fraction(1, 4), Fraction(3, 4))
     fam = build_sampler_family(params, 256, seed=5)
     assert family_pin(fam) == GOLDEN_FAMILIES["halved-256"]
+
+
+# name -> (N, D, seed, sha256 of build_expander(N, D, seed).adjacency bytes),
+# at least one graph per construction branch of build_expander
+GOLDEN_EXPANDERS = {
+    # complement of a perfect matching (built degree 1)
+    "matching-complement": (
+        12, 10, 3, "dccd2e580836b017ecb85e44c1da8d9af3c9f26dfd199f5812e4b26e96ff1622",
+    ),
+    # complement of a Hamiltonian cycle (built degree 2)
+    "cycle-complement": (
+        11, 8, 5, "6531442ddee8ddc95ed1fb035381ae7d8c57e300d497b4fac053fc33d9def828",
+    ),
+    "pairing": (
+        64, 8, 7, "036d04a54566576910c6bbf39d8a5754a73c0682da67c1527301c3b6024d185b",
+    ),
+    # the first attempt is rejected (disconnected or bipartite)
+    "pairing-restart": (
+        8, 3, 1, "3dceb7e32d9c299dda5e532c3848b8ceab7aad1fa298d4a4425c3060fbcec981",
+    ),
+    # the reduction family's accepted degree
+    "pairing-reduction": (
+        1536, 64, derive_seed(1, 64),
+        "5b6c66a92c8eae522643d9d45a1778075232cf3b5325ae3bc57e51c81c02b1f3",
+    ),
+    "pairing-complement": (
+        40, 34, 2, "d057cd72de09f0d911e670d91abd66e08ac5ec31be23d03ab02e0735cc6983d7",
+    ),
+    # a det-circuit layer's width and worst-case degree at m=1024
+    "pairing-complement-det": (
+        1024, 896, 11, "4d8c80456a6b95e3cf6149c76698e2631601a59435076c445502c0af7968d548",
+    ),
+    "circulant-swap": (
+        40, 12, 4, "e3302a15f2f890e91ae4a8a0be97ac95d33800ee219b2d05b4c93af32998e6f6",
+    ),
+    "complete": (
+        8, 7, 0, "ff84d69bdab174aa759ba8a80a6712948d675c1b07e6b89672d7293a9609a04e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPANDERS))
+def test_expander_matches_golden(name):
+    N, D, seed, want = GOLDEN_EXPANDERS[name]
+    adj = build_expander(N, D, seed).adjacency
+    assert hashlib.sha256(adj.tobytes()).hexdigest() == want
+
+
+# (N, D, seed, stop_above) -> repr(second_eigenvalue(build_expander(N, D,
+# seed), tol=1e-8, stop_above=stop_above)); the last solve is a rejected
+# degree of the reduction family's search, cut short by its early stop
+GOLDEN_LAMBDAS = {
+    (64, 8, 7, None): "0.6179112093722119",
+    (40, 12, 4, None): "0.49112084799290917",
+    (512, 16, 9, None): "0.47257795549462833",
+    (1536, 32, derive_seed(1, 32), 0.25): "0.28175860315663426",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_LAMBDAS))
+def test_second_eigenvalue_matches_golden(key):
+    N, D, seed, stop_above = key
+    lam = second_eigenvalue(build_expander(N, D, seed), tol=1e-8, stop_above=stop_above)
+    assert repr(lam) == GOLDEN_LAMBDAS[key]
 
 
 def doc_digest(doc: dict) -> str:
