@@ -98,8 +98,9 @@ class RegularGraph:
         return bool((level >= 0).all() and (odd[adj] == odd[:, None]).any())
 
 
-def _pairing_graph(N: int, D: int, rng: np.random.Generator) -> list[set[int]] | None:
-    """One configuration-model draw repaired to a simple graph, or None."""
+def _pairing_graph(N: int, D: int, rng: np.random.Generator) -> np.ndarray | None:
+    """One configuration-model draw repaired to a simple D-regular graph (swaps
+    only permute the second column): its (N*D/2, 2) edge list, or None."""
     stubs = np.repeat(np.arange(N, dtype=np.int64), D)
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
@@ -117,45 +118,36 @@ def _pairing_graph(N: int, D: int, rng: np.random.Generator) -> list[set[int]] |
         dup[order] = dup_sorted
         bad = np.flatnonzero((u == v) | dup)
         if bad.size == 0:
-            adj = [[] for _ in range(N)]
-            for a, b in pairs:
-                adj[int(a)].append(int(b))
-                adj[int(b)].append(int(a))
-            return [set(x) for x in adj] if all(
-                len(a) == D for a in adj
-            ) else None
+            return pairs
         partners = rng.integers(0, pairs.shape[0], size=bad.size)
         for i, j in zip(bad, partners):
             pairs[i, 1], pairs[j, 1] = pairs[j, 1], pairs[i, 1]
     return None
 
 
-def _complement_adjacency(adj_sets: list[set[int]], N: int) -> list[set[int]]:
-    full = set(range(N))
-    return [full - s - {v} for v, s in enumerate(adj_sets)]
+def _complement(adj: np.ndarray) -> np.ndarray:
+    """Sorted neighbor rows of the complement of the simple graph adj."""
+    N = len(adj)
+    mask = np.zeros((N, N), dtype=bool)
+    np.put_along_axis(mask, adj, True, axis=1)
+    np.fill_diagonal(mask, True)
+    return np.broadcast_to(np.arange(N), (N, N))[~mask].reshape(N, -1)
 
 
-def _circulant_sets(N: int, D: int) -> list[set[int]]:
-    offsets = list(range(1, D // 2 + 1))
-    adj = [set() for _ in range(N)]
+def _swapped_circulant(N: int, D: int, rng) -> list[list[int]]:
+    """Neighbor rows of a circulant D-regular graph after 12*N*D tries of
+    degree-preserving double-edge swaps that keep it simple. The swaps
+    follow the sets' iteration order, so the graph is built in sets."""
+    adj_sets = [set() for _ in range(N)]
     for v in range(N):
-        for off in offsets:
-            adj[v].add((v + off) % N)
-            adj[v].add((v - off) % N)
+        for off in range(1, D // 2 + 1):
+            adj_sets[v].add((v + off) % N)
+            adj_sets[v].add((v - off) % N)
         if D % 2:
-            adj[v].add((v + N // 2) % N)
-    return adj
-
-
-def _swap_randomize(adj_sets: list[set[int]], N: int, rng, tries: int) -> list[set[int]]:
-    """Degree-preserving double-edge swaps; keeps the graph simple."""
-    edges = []
-    for u, s in enumerate(adj_sets):
-        for v in s:
-            if u < v:
-                edges.append([u, v])
+            adj_sets[v].add((v + N // 2) % N)
+    edges = [[u, v] for u, s in enumerate(adj_sets) for v in s if u < v]
     M = len(edges)
-    for _ in range(tries):
+    for _ in range(12 * N * D):
         i, j = int(rng.integers(M)), int(rng.integers(M))
         if i == j:
             continue
@@ -173,7 +165,7 @@ def _swap_randomize(adj_sets: list[set[int]], N: int, rng, tries: int) -> list[s
         adj_sets[b].add(d), adj_sets[d].add(b)
         edges[i] = [a, c]
         edges[j] = [b, d]
-    return adj_sets
+    return [list(s) for s in adj_sets]
 
 
 def build_expander(N: int, D: int, seed: int) -> RegularGraph:
@@ -193,46 +185,46 @@ def build_expander(N: int, D: int, seed: int) -> RegularGraph:
     if (N * D) % 2 != 0:
         raise InfeasibleParametersError(f"N*D must be even, got N={N} D={D}")
     if D == N - 1:
-        return RegularGraph(N, D, [[v for v in range(N) if v != u] for u in range(N)])
+        return RegularGraph(N, D, _complement(np.empty((N, 0), dtype=np.int64)))
     use_complement = D > (N - 1) // 2
     build_deg = (N - 1 - D) if use_complement else D
     sparse = build_deg <= max(3, N // 4)
     for attempt in range(EXPANDER_RESTARTS):
         rng = rng_from(derive_seed(seed, N, D, attempt))
-        adj_sets: list[set[int]] | None
         if not sparse:
-            adj_sets = _swap_randomize(
-                _circulant_sets(N, D), N, rng, tries=12 * N * D
-            )
-        elif build_deg == 1:
-            perm = rng.permutation(N)
-            adj_sets = [set() for _ in range(N)]
-            for i in range(0, N, 2):
-                a, b = int(perm[i]), int(perm[i + 1])
-                adj_sets[a].add(b)
-                adj_sets[b].add(a)
-        elif build_deg == 2:
-            perm = rng.permutation(N)
-            adj_sets = [set() for _ in range(N)]
-            for i in range(N):
-                a, b = int(perm[i]), int(perm[(i + 1) % N])
-                adj_sets[a].add(b)
-                adj_sets[b].add(a)
+            graph = RegularGraph(N, D, _swapped_circulant(N, D, rng))
         else:
-            adj_sets = _pairing_graph(N, build_deg, rng)
-        if adj_sets is None:
-            continue
-        if sparse and use_complement:
-            adj_sets = _complement_adjacency(adj_sets, N)
-        if any(len(s) != D for s in adj_sets):
-            continue
-        graph = RegularGraph(N, D, [list(s) for s in adj_sets])
+            if build_deg == 1:
+                pairs = rng.permutation(N).reshape(-1, 2)
+            elif build_deg == 2:
+                perm = rng.permutation(N)
+                pairs = np.stack([perm, np.roll(perm, -1)], axis=1)
+            else:
+                pairs = _pairing_graph(N, build_deg, rng)
+                if pairs is None:
+                    continue
+            # row v: the far end of each edge end at v
+            ends = np.argsort(pairs.ravel(), kind="stable")
+            adj = pairs[:, ::-1].ravel()[ends].reshape(N, build_deg)
+            graph = RegularGraph(N, D, _complement(adj) if use_complement else adj)
         if graph.connected_non_bipartite():
             return graph
     raise InfeasibleParametersError(
         f"no connected non-bipartite simple {D}-regular graph found on "
         f"{N} vertices after {EXPANDER_RESTARTS} restarts"
     )
+
+
+def _neighbor_sum(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """M[adjacency].sum(axis=1) for an (N, b) block M and cols = adjacency.T,
+    bit for bit: the D rows are added in the order that sum adds its middle
+    axis, one adjacency column at a time, with no (N, D, b) temporary."""
+    out = M.take(cols[0], axis=0)
+    buf = np.empty_like(out)
+    for c in cols[1:]:
+        M.take(c, axis=0, out=buf, mode="clip")
+        out += buf
+    return out
 
 
 def second_eigenvalue(
@@ -268,10 +260,14 @@ def second_eigenvalue(
     def deflate(M: np.ndarray) -> np.ndarray:
         return M - M.mean(axis=0, keepdims=True)
 
+    cols = np.ascontiguousarray(g.adjacency.T)
+
     def walk_sq(M: np.ndarray) -> np.ndarray:
-        out = M[g.adjacency].sum(axis=1) / D
-        out = out[g.adjacency].sum(axis=1) / D
-        return deflate(out)
+        # a vector's neighbor sums run along a contiguous axis, which numpy
+        # adds pairwise, so only a block goes through _neighbor_sum
+        for _ in range(2):
+            M = (M[g.adjacency].sum(axis=1) if M.ndim == 1 else _neighbor_sum(M, cols)) / D
+        return deflate(M)
 
     V, _ = np.linalg.qr(deflate(V))
     theta = 0.0

@@ -25,6 +25,7 @@ from gapforge.sampler import (
     second_eigenvalue_dense,
     trace_lambda_sq_bound,
 )
+from gapforge.sampler import _neighbor_sum
 from gapforge.util import derive_seed, rng_from
 
 
@@ -179,6 +180,16 @@ class TestSecondEigenvalue:
             full = second_eigenvalue(g, 1e-8)
             for stop in (full, full + 1e-9, 0.99):
                 assert second_eigenvalue(g, 1e-8, stop_above=stop) == full
+
+
+    @pytest.mark.parametrize("N, D", [(40, 4), (64, 8), (1536, 64)])
+    @pytest.mark.parametrize("b", [2, 8])
+    def test_block_walk_matches_gather_sum_bit_for_bit(self, N, D, b):
+        g = build_expander(N, D, seed=D)
+        M = rng_from(N + b).standard_normal((N, b))
+        want = M[g.adjacency].sum(axis=1) / D
+        got = _neighbor_sum(M, np.ascontiguousarray(g.adjacency.T)) / D
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestTraceBound:
