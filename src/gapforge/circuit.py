@@ -322,7 +322,7 @@ def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
     for layer in range(1, c.depth + 1):
         ones = current[c.layers[layer - 1]].sum(axis=1)
         current = (ones >= c.fire_count(layer)).astype(np.uint8)
-        out.append(tuple(int(b) for b in current))
+        out.append(tuple(current.tolist()))
     return out
 
 

@@ -289,7 +289,10 @@ def parse_gcsp(text: str | bytes) -> CspInstance:
             clauses.append(Clause(scope, table))
         except MalformedInstanceError as exc:
             raise ParseError(str(exc), no) from None
-    return CspInstance(n, tuple(clauses), width)
+    try:
+        return CspInstance(n, tuple(clauses), width)
+    except MalformedInstanceError as exc:  # declared width below a clause's arity
+        raise ParseError(str(exc), lines[0][0]) from None
 
 
 def parse_instance(text: str | bytes) -> CspInstance:

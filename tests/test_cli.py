@@ -154,6 +154,14 @@ class TestOracleCommand:
         assert run(["oracle", "--input", str(path), "--report", str(report)]) == 2
         assert not report.exists()
 
+    def test_width_below_arity_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "narrow.gcsp"
+        path.write_text("gcsp 2 1 1\n2 0 1 8\n")
+        assert run(["oracle", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "gapforge: parse error: line 1: declared width 1 below max clause arity 2\n"
+        )
+
     def test_cap_exit_code(self, tmp_path):
         cnf = tmp_path / "wide.cnf"
         cnf.write_text(serialize(random_3sat(26, 10, 1)))

@@ -222,6 +222,11 @@ class TestSerialization:
             parse_gcsp(text)
         assert err.value.line == 1
 
+    def test_gcsp_width_below_clause_arity(self):
+        with pytest.raises(ParseError, match="declared width 1 below max clause arity 2") as err:
+            parse_gcsp("gcsp 2 1 1\n2 0 1 8\n")
+        assert err.value.line == 1
+
     def test_round_trip_random_corpus(self):
         rng = rng_from(99)
         for i in range(20):
