@@ -698,6 +698,15 @@ def one_sided_sweep(
     if batch:
         # M[entries] of each queued trial, side by side
         stacked = np.empty((L_len, batch, d), dtype=np.uint8)
+    else:
+        # _set_counts in a workspace reused by every trial: fresh L * C and
+        # L * d arrays per trial fault in new pages (unless an earlier large
+        # free raised malloc's trim threshold), doubling a d = 247 trial
+        flat = np.empty(fam.sets.shape, dtype=np.int64)
+        row_off = m * np.arange(L_len)[:, None]
+        mult = np.empty((L_len, m), dtype=np.float32)
+        counts = np.empty((L_len, d), dtype=np.float32)
+        sat = np.empty((L_len, d), dtype=bool)
     slots = []  # the queued trials
     # unbalanced trials keep the canonical NO instance's optimum; a negative
     # trial count runs none, as range does
@@ -711,7 +720,9 @@ def one_sided_sweep(
         balanced = heavy_sum <= cut.heavy_max and light_sum >= cut.light_min
         balanced_trials += balanced
         if balanced and not batch:
-            sat = _set_counts(entries[fam.sets], M) >= float(thr_count)
+            np.add(entries.take(fam.sets, mode="clip", out=flat), row_off, out=flat)
+            mult[:] = np.bincount(flat.ravel(), minlength=mult.size).reshape(mult.shape)
+            np.greater_equal(np.matmul(mult, M, out=counts), thr_count, out=sat)
             sat_counts[trial] = sat.sum(axis=0, dtype=np.int64).max()
         elif balanced:
             stacked[:, len(slots)] = M[entries]

@@ -107,16 +107,8 @@ def _pairing_graph(N: int, D: int, rng: np.random.Generator) -> np.ndarray | Non
     for _ in range(_REPAIR_SWEEPS):
         u, v = pairs[:, 0], pairs[:, 1]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = lo * N + hi
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        dup = np.zeros(keys.size, dtype=bool)
-        dup_sorted = np.zeros(keys.size, dtype=bool)
-        same = sorted_keys[1:] == sorted_keys[:-1]
-        dup_sorted[1:][same] = True
-        dup_sorted[:-1][same] = True
-        dup[order] = dup_sorted
-        bad = np.flatnonzero((u == v) | dup)
+        _, edge, copies = np.unique(lo * N + hi, return_inverse=True, return_counts=True)
+        bad = np.flatnonzero((u == v) | (copies[edge] > 1))
         if bad.size == 0:
             return pairs
         partners = rng.integers(0, pairs.shape[0], size=bad.size)
@@ -171,9 +163,9 @@ def _swapped_circulant(N: int, D: int, rng) -> list[list[int]]:
 def build_expander(N: int, D: int, seed: int) -> RegularGraph:
     """Seeded connected non-bipartite simple D-regular graph on N vertices.
 
-    Sparse degrees (directly or through the complement) come from random stub
-    pairing with local swap repair; mid densities from a circulant randomized
-    by double-edge swaps. Bipartite draws are resampled: their walk matrix
+    Sparse degrees come from random stub pairing with local swap repair,
+    directly or through the complement (the complete graph too); mid
+    densities from a circulant randomized by double-edge swaps. Bipartite draws are resampled: their walk matrix
     has |eigenvalue| 1 and they are useless as samplers. Deterministic for a
     fixed seed; raises when the parameters are infeasible or all
     EXPANDER_RESTARTS attempts fail.
@@ -184,8 +176,6 @@ def build_expander(N: int, D: int, seed: int) -> RegularGraph:
         raise InfeasibleParametersError(f"degree {D} impossible on {N} vertices")
     if (N * D) % 2 != 0:
         raise InfeasibleParametersError(f"N*D must be even, got N={N} D={D}")
-    if D == N - 1:
-        return RegularGraph(N, D, _complement(np.empty((N, 0), dtype=np.int64)))
     use_complement = D > (N - 1) // 2
     build_deg = (N - 1 - D) if use_complement else D
     sparse = build_deg <= max(3, N // 4)
