@@ -165,10 +165,10 @@ def build_expander(N: int, D: int, seed: int) -> RegularGraph:
 
     Sparse degrees come from random stub pairing with local swap repair,
     directly or through the complement (the complete graph too); mid
-    densities from a circulant randomized by double-edge swaps. Bipartite draws are resampled: their walk matrix
-    has |eigenvalue| 1 and they are useless as samplers. Deterministic for a
-    fixed seed; raises when the parameters are infeasible or all
-    EXPANDER_RESTARTS attempts fail.
+    densities from a circulant randomized by double-edge swaps. Bipartite
+    draws are resampled: their walk matrix has |eigenvalue| 1 and they are
+    useless as samplers. Deterministic for a fixed seed; raises when the
+    parameters are infeasible or all EXPANDER_RESTARTS attempts fail.
     """
     if D < 3:
         raise InfeasibleParametersError("degree must be at least 3")
@@ -206,9 +206,9 @@ def build_expander(N: int, D: int, seed: int) -> RegularGraph:
 
 
 def _neighbor_sum(M: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """M[adjacency].sum(axis=1) for an (N, b) block M and cols = adjacency.T,
-    bit for bit: the D rows are added in the order that sum adds its middle
-    axis, one adjacency column at a time, with no (N, D, b) temporary."""
+    """M[adjacency].sum(axis=1), bit for bit, for an (N, b) block M with b >= 2
+    and cols = adjacency.T: the D rows are added in the order that sum adds
+    its middle axis, one adjacency column at a time, with no (N, D, b) temporary."""
     out = M.take(cols[0], axis=0)
     buf = np.empty_like(out)
     for c in cols[1:]:
