@@ -94,7 +94,7 @@ class ClauseList:
     def __post_init__(self):
         if len(self.entries) != self.t * self.base_clauses:
             raise GapforgeError("list length must be t * m")
-        if any(not (0 <= e < self.base_clauses) for e in self.entries):
+        if self.entries and (min(self.entries) < 0 or max(self.entries) >= self.base_clauses):
             raise GapforgeError("list entry out of clause range")
 
     def occurrence_counts(self) -> np.ndarray:
@@ -304,7 +304,8 @@ def _threshold_clauses(base: CspInstance, samples: np.ndarray, thr_count: int) -
     in increasing order, are the scoped table rows. Rows of samples are
     counted in blocks of at most _COUNT_BLOCK_ENTRIES count-matrix entries
     (one row when 2^n alone is larger), so memory does not grow with the
-    number of output clauses.
+    number of output clauses. A block's tables are packed per scope group,
+    and rows with equal scope and table share one Clause object.
     """
     n = base.num_vars
     if n > 16:
@@ -316,19 +317,23 @@ def _threshold_clauses(base: CspInstance, samples: np.ndarray, thr_count: int) -
     patterns = np.arange(1 << n, dtype=np.int64)
     pattern_bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))
     rows = max(1, _COUNT_BLOCK_ENTRIES >> n)
-    out = []
+    out = np.empty(samples.shape[0], dtype=object)
     for lo in range(0, samples.shape[0], rows):
         block = samples[lo : lo + rows]
         sat = _set_counts(block, M) >= float(thr_count)
-        in_scope = _set_counts(block, var_incidence) > 0
-        outside = ~(in_scope @ pattern_bits)
-        out.extend(
-            Clause(
-                scope=tuple(np.flatnonzero(in_scope[i]).tolist()),
-                table=table_from_bits(sat[i][(patterns & outside[i]) == 0]),
-            )
-            for i in range(block.shape[0])
-        )
+        codes = (_set_counts(block, var_incidence) > 0) @ pattern_bits
+        for code in np.unique(codes).tolist():
+            group = np.flatnonzero(codes == code)
+            scope = tuple(v for v in range(n) if code >> (n - 1 - v) & 1)
+            tables = sat[np.ix_(group, (patterns & ~code) == 0)]
+            packed = np.packbits(tables, axis=1, bitorder="little")
+            raw, width = packed.tobytes(), packed.shape[1]
+            shared: dict[bytes, Clause] = {}
+            for i, at in zip((group + lo).tolist(), range(0, len(raw), width)):
+                key = raw[at : at + width]
+                if key not in shared:
+                    shared[key] = Clause(scope=scope, table=int.from_bytes(key, "little"))
+                out[i] = shared[key]
     return tuple(out)
 
 

@@ -9,6 +9,7 @@ check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -84,19 +85,20 @@ def _table_index(scopes: np.ndarray, words: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _arity_classes(clauses: Sequence) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per clause arity k, in increasing order: the scopes (c x k) and the
-    tables (c x bytes), each packed little-endian so that T_j[a] is bit a of
-    row j."""
+def _arity_classes(clauses: Sequence) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per clause arity k, in increasing order, over the distinct clauses:
+    the scopes (c x k), the tables (c x bytes), each packed little-endian so
+    that T_j[a] is bit a of row j, and the number of copies of each clause."""
     by_arity: dict[int, list] = {}
-    for clause in clauses:
-        by_arity.setdefault(clause.arity, []).append(clause)
+    for (scope, table), copies in Counter((cl.scope, cl.table) for cl in clauses).items():
+        by_arity.setdefault(len(scope), []).append((scope, table, copies))
     out = []
     for k, group in sorted(by_arity.items()):
-        c, nbytes = len(group), ((1 << k) + 7) // 8
-        raw = b"".join(cl.table.to_bytes(nbytes, "little") for cl in group)
-        scopes = np.array([cl.scope for cl in group], dtype=np.int64).reshape(c, k)
-        out.append((scopes, np.frombuffer(raw, np.uint8).reshape(c, nbytes)))
+        scopes, tables, copies = zip(*group)
+        nbytes = ((1 << k) + 7) // 8
+        raw = b"".join(t.to_bytes(nbytes, "little") for t in tables)
+        tables = np.frombuffer(raw, np.uint8).reshape(-1, nbytes)
+        out.append((np.array(scopes, np.int64), tables, np.array(copies, np.int64)))
     return out
 
 
@@ -105,16 +107,26 @@ def _split_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The split-product factors of one arity class (see _arity_classes) for
     assignments hi + lo over the given hi words (multiples of 2^h) and lo
-    words (below 2^h).
+    words (the 2^h words below 2^h).
 
     A clause's table index on hi + lo is a + b, with a its index on hi and b
     its index on lo. Row (j, a) of B is T_j[a + b(lo)] over lo, for the pairs
     (j, a) that occur; cols[r, j] is the B row of clause j at hi word r, so
-    the counts at hi word r are sum_j B[cols[r, j]]."""
+    the counts at hi word r are sum_j B[cols[r, j]]. Clause j's rows follow
+    clause j - 1's, numbered by its hi-scope bits packed in scope order (all
+    occur among the hi words): the pairs in (j, a) order, with no sort."""
     c, stride = tables.shape[0], 8 * tables.shape[1]
+    hi_scope = scopes >= lo_words.size.bit_length() - 1
+    sizes = 1 << hi_scope.sum(axis=1)
+    cols = np.zeros((hi_words.size, c), dtype=np.int64)
+    for s, on in zip(scopes.T, hi_scope.T):
+        # a lo-side scope variable reads 0 on every hi word and shifts nothing
+        cols <<= on
+        cols |= (hi_words[:, None] >> s) & 1
+    cols += np.cumsum(sizes) - sizes
     # the bit offset j * stride + a of T_j[a] names the pair (j, a)
-    keys = (np.arange(c, dtype=np.int64) * stride)[:, None] + _table_index(scopes, hi_words)
-    pairs, cols = np.unique(keys.T, return_inverse=True)
+    pairs = np.empty(int(sizes.sum()), dtype=np.int64)
+    pairs[cols.T] = (np.arange(c, dtype=np.int64) * stride)[:, None] + _table_index(scopes, hi_words)
     lo_index = _table_index(scopes, lo_words)
     packed = tables.ravel()
     B = np.empty((pairs.size, lo_words.size), dtype=np.float32)
@@ -123,7 +135,7 @@ def _split_terms(
     for r in range(0, pairs.size, step):
         bit = lo_index[pairs[r : r + step] // stride] + pairs[r : r + step, None]
         B[r : r + step] = (packed[bit >> 3] >> (bit & 7).astype(np.uint8)) & 1
-    return cols.reshape(hi_words.size, c), B
+    return cols, B
 
 
 def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -133,14 +145,15 @@ def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray
 
     Assignment x splits as hi * 2^h + lo, the lo side holding variables 0 to
     h - 1. The counts of a block of hi rows are one product A @ B per arity
-    (see _split_terms), for the one-hot A[hi, (j, a)] = [clause j reads
-    a on hi] built per block, and row-major order of A @ B is x order. B and
-    the hi-side indices are built once and kept, so the product is taken
-    only while B and the clause x 2^(n - h) indices each have at most
-    _TERM_ENTRIES entries; larger instances are counted block by block with
-    satisfied_counts_vector, in O(_CHUNK) memory. The product thus runs only
-    while num_clauses << (n - h) <= _TERM_ENTRIES = 2^22, so its float32
-    sums of at most num_clauses 0/1 terms are exact (below 2^24)."""
+    over the distinct clauses (see _split_terms), for A[hi, (j, a)] = the
+    copies of clause j if it reads a on hi, else 0, built per block; row-major
+    order of A @ B is x order. B and the hi-side indices are built once and
+    kept, so the product is taken only while B and the clause x 2^(n - h)
+    indices, counting every copy, each have at most _TERM_ENTRIES entries;
+    larger instances are counted block by block with satisfied_counts_vector,
+    in O(_CHUNK) memory. The product thus runs only while num_clauses <<
+    (n - h) <= 2^22, so its float32 sums, at most num_clauses < 2^24, are
+    exact."""
     if inst.num_vars > cap:
         raise ResourceCapError(
             f"{inst.num_vars} variables exceeds enumeration cap {cap}"
@@ -150,7 +163,7 @@ def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray
         n = inst.num_vars
         h = min((n + 1) // 2, _CHUNK.bit_length() - 1)
         classes = _arity_classes(inst.clauses)
-        num_pairs = sum(int((1 << (sc >= h).sum(axis=1)).sum()) for sc, _ in classes)
+        num_pairs = sum(int(cp @ (1 << (sc >= h).sum(axis=1))) for sc, _, cp in classes)
         if max(num_pairs << h, max(inst.num_clauses, 1) << (n - h)) > _TERM_ENTRIES:
             total = 1 << n
             for x0 in range(0, total, _CHUNK):
@@ -160,13 +173,13 @@ def _count_blocks(inst: CspInstance, cap: int) -> Iterator[tuple[int, np.ndarray
         rows = min(_CHUNK >> h, 1 << (n - h))
         lo_words = np.arange(1 << h, dtype=np.int64)
         hi_words = np.arange(1 << (n - h), dtype=np.int64) << h
-        terms = [_split_terms(*c, hi_words, lo_words) for c in classes]
+        terms = [(*_split_terms(sc, tb, hi_words, lo_words), cp) for sc, tb, cp in classes]
         for r0 in range(0, hi_words.size, rows):
             block = hi_words[r0 : r0 + rows]
             acc = np.zeros((block.size, lo_words.size), dtype=np.float32)
-            for cols, B in terms:
+            for cols, B, copies in terms:
                 A = np.zeros((block.size, B.shape[0]), dtype=np.float32)
-                np.put_along_axis(A, cols[r0 : r0 + rows], 1.0, axis=1)
+                np.put_along_axis(A, cols[r0 : r0 + rows], copies[None, :], axis=1)
                 acc += A @ B
             yield r0 << h, acc.ravel().astype(np.int64)
 

@@ -23,6 +23,7 @@ from gapforge.gapeth import (
     _set_counts,
     _sweep_report,
     _threshold_clause,
+    _threshold_clauses,
     canonical_no_instance,
     check_balanced,
     list_instance,
@@ -40,6 +41,7 @@ from gapforge.sampler import SamplerFamily, family_from_sets
 from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
 
 from conftest import random_3sat, unit_pair_instance
+from test_oracle import random_table_instance
 
 
 def small_params(**kw) -> ReductionParams:
@@ -144,6 +146,11 @@ class TestLists:
         lst = ClauseList(entries=tuple(range(10)) * 3, base_clauses=10, t=3)
         rep = check_balanced(lst, p)
         assert rep.floored
+
+    def test_entries_out_of_range_refused(self):
+        for bad in (-1, 12):
+            with pytest.raises(GapforgeError, match="out of clause range"):
+                ClauseList(entries=(0,) * 35 + (bad,), base_clauses=12, t=3)
 
     def test_extremal_sums_match_subset_enumeration(self):
         # the sorted-count shortcut equals brute force over all subsets
@@ -457,6 +464,25 @@ class TestOneSided:
         assert not rep.rejected_unbalanced
         monkeypatch.setattr(gapeth, "_COUNT_BLOCK_ENTRIES", 5 << 8)
         assert reduce_one_sided(base, red_params, red_family)[0] == whole
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_scope_groups_match_threshold_reference(self, monkeypatch, n, k):
+        # six base clauses of one to three variables: the rows fall into
+        # several scope groups and repeat tables. Thresholds 0 and k + 1
+        # give tautologies and contradictions; seven rows per block split
+        # the groups across blocks
+        base = random_table_instance(n, 6, [1, 2, 3], seed=n)
+        samples = rng_from(derive_seed(n, k)).integers(0, 6, size=(40, k))
+        for thr in sorted({0, 1, k, k + 1}):
+            out = _threshold_clauses(base, samples, thr)
+            # one block: equal clauses are one object
+            assert len({id(c) for c in out}) == len(set(out))
+            for clause, row in zip(out, samples, strict=True):
+                assert clause == _threshold_clause(base, row.tolist(), thr)
+            with monkeypatch.context() as mp:
+                mp.setattr(gapeth, "_COUNT_BLOCK_ENTRIES", 7 << n)
+                assert _threshold_clauses(base, samples, thr) == out
 
     def test_lll_report_fields(self, red_params, red_family, no_bases):
         _, rep = reduce_one_sided(no_bases[0][0], red_params, red_family)

@@ -169,12 +169,45 @@ class TestSplitKernel:
         assert_kernel_matches_reference(unit_pair_instance(6, 12, (0, 2, 5)))
 
     def test_one_sided_outputs(self, red_params, red_family, no_bases, yes_bases):
+        # a NO base's output is 1536 copies of one clause, counted once
+        # with weight 1536
         bases = [inst for inst, _ in no_bases + yes_bases[:1]]
+        balanced_no = 0
         for i, base in enumerate(bases):
             for trial in range(2):
                 p = replace(red_params, seed=derive_seed(red_params.seed, i, trial))
-                out, _ = reduce_one_sided(base, p, red_family)
+                out, rep = reduce_one_sided(base, p, red_family)
+                if i < len(no_bases) and not rep.rejected_unbalanced:
+                    balanced_no += 1
+                    assert out.num_clauses == 1536 and len(set(out.clauses)) == 1
                 assert_kernel_matches_reference(out, cap=16)
+        assert balanced_no > 0
+
+    def test_repeated_clauses_weighted_by_copies(self):
+        # 500 copies each of three clauses, alone and shuffled among 60
+        # random tables
+        rnd = random_table_instance(10, 63, [1, 2, 3, 4], seed=4)
+        for extra in ((), rnd.clauses[3:]):
+            clauses = rnd.clauses[:3] * 500 + extra
+            order = rng_from(len(extra)).permutation(len(clauses))
+            inst = CspInstance(10, tuple(clauses[i] for i in order))
+            assert_kernel_matches_reference(inst)
+
+    def test_pairs_numbered_in_key_order(self):
+        # B row cols[r, j] is the rank of the bit offset j * stride + a of
+        # clause j at hi word r among the offsets that occur
+        for n in (0, 1, 5, 11):
+            inst = random_table_instance(n, 40, list(range(9)), seed=n)
+            h = (n + 1) // 2
+            hi = np.arange(1 << (n - h), dtype=np.int64) << h
+            lo = np.arange(1 << h, dtype=np.int64)
+            for scopes, tables, _ in oracle._arity_classes(inst.clauses):
+                stride = 8 * tables.shape[1]
+                keys = np.arange(scopes.shape[0]) * stride + oracle._table_index(scopes, hi).T
+                pairs, want = np.unique(keys, return_inverse=True)
+                cols, B = oracle._split_terms(scopes, tables, hi, lo)
+                assert np.array_equal(cols, want.reshape(keys.shape))
+                assert B.shape == (pairs.size, lo.size)
 
     @pytest.mark.parametrize(
         "n, arities, chunk",
@@ -201,7 +234,8 @@ class TestSplitKernel:
         monkeypatch.setattr(oracle, "_split_terms", recording)
         monkeypatch.setattr(oracle, "_TERM_ENTRIES", need)
         assert_kernel_matches_reference(inst)
-        assert sum(calls) == 24 * 3
+        # the three sweeps split each distinct clause once
+        assert sum(calls) == 3 * len({(c.scope, c.table) for c in inst.clauses})
         calls.clear()
         monkeypatch.setattr(oracle, "_TERM_ENTRIES", need - 1)
         assert_kernel_matches_reference(inst)
