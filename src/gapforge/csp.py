@@ -86,6 +86,16 @@ def disjunction(literals: Sequence[tuple[int, bool]]) -> Clause:
     return Clause(scope, table)
 
 
+def shared_copies(clauses: Sequence[Clause]) -> tuple[list[int], list[int]]:
+    """The position of the first copy of each distinct clause object, in
+    increasing order, and its number of copies. Objects are told apart by
+    identity: the reductions' outputs share one Clause between equal rows."""
+    ids = np.fromiter(map(id, clauses), np.uint64, len(clauses))
+    _, first, copies = np.unique(ids, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order].tolist(), copies[order].tolist()
+
+
 @dataclass(frozen=True)
 class CspInstance:
     """A MAX q-CSP instance: n variables and an ordered clause list."""
@@ -95,19 +105,19 @@ class CspInstance:
     width: int = field(default=-1)
 
     def __post_init__(self):
-        max_arity = max((c.arity for c in self.clauses), default=0)
+        # each distinct clause object once, in first-occurrence order
+        clauses = self.clauses
+        scopes = [clauses[j].scope for j in shared_copies(clauses)[0]]
+        max_arity = max(map(len, scopes), default=0)
         if self.width < 0:
             object.__setattr__(self, "width", max_arity)
         elif self.width < max_arity:
             raise MalformedInstanceError(
                 f"declared width {self.width} below max clause arity {max_arity}"
             )
-        for c in self.clauses:
-            for v in c.scope:
-                if v >= self.num_vars:
-                    raise MalformedInstanceError(
-                        f"variable {v} out of range for {self.num_vars} vars"
-                    )
+        if max(map(max, filter(None, scopes)), default=-1) >= self.num_vars:
+            v = next(v for scope in scopes for v in scope if v >= self.num_vars)
+            raise MalformedInstanceError(f"variable {v} out of range for {self.num_vars} vars")
 
     @property
     def num_clauses(self) -> int:

@@ -32,7 +32,7 @@ from .errors import (
     ResourceCapError,
     ShapeMismatchError,
 )
-from .oracle import chernoff_tail, lll_condition
+from .oracle import _packed_tables, _table_index, chernoff_tail, lll_condition
 from .sampler import (
     SamplerFamily,
     SamplerParams,
@@ -145,16 +145,22 @@ class BalanceReport:
         }
 
 
-def _extremal_sums(
+def _extremal_sums(counts: np.ndarray, heavy_size: int, light_size: int) -> tuple[int, int]:
+    """The occurrence-count sums of the heavy_size heaviest and the
+    light_size lightest clauses. They do not depend on how ties break, so
+    one sort of the counts gives both."""
+    ordered = np.sort(counts)
+    return int(ordered[counts.size - heavy_size :].sum()), int(ordered[:light_size].sum())
+
+
+def _extremal_witnesses(
     counts: np.ndarray, heavy_size: int, light_size: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """The heavy_size heaviest and light_size lightest clauses by occurrence
-    count, ties broken as sorting (count, index) pairs would, as sorted
-    witness indices with their count sums."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted indices of the heavy_size heaviest and the light_size
+    lightest clauses by occurrence count, ties broken as sorting (count,
+    index) pairs would."""
     order = np.argsort(counts, kind="stable")
-    heavy = np.sort(order[counts.size - heavy_size :])
-    light = np.sort(order[:light_size])
-    return heavy, light, int(counts[heavy].sum()), int(counts[light].sum())
+    return np.sort(order[counts.size - heavy_size :]), np.sort(order[:light_size])
 
 
 @dataclass(frozen=True)
@@ -198,9 +204,9 @@ def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
     """Exact extremal-subset check via sorted occurrence counts, against the
     cut-offs of _balance_cutoffs."""
     cut = _balance_cutoffs(p, lst.base_clauses, len(lst.entries))
-    heavy, light, heavy_sum, light_sum = _extremal_sums(
-        lst.occurrence_counts(), cut.heavy_size, cut.light_size
-    )
+    counts = lst.occurrence_counts()
+    heavy_sum, light_sum = _extremal_sums(counts, cut.heavy_size, cut.light_size)
+    heavy, light = _extremal_witnesses(counts, cut.heavy_size, cut.light_size)
     heavy_ok = heavy_sum <= cut.heavy_max
     light_ok = light_sum >= cut.light_min
     return BalanceReport(
@@ -268,13 +274,30 @@ def _threshold_clause(
 
 def _pattern_sat_matrix(base: CspInstance) -> np.ndarray:
     """Float32 clause-by-pattern satisfaction matrix over all 2^n full-scope
-    table patterns (variable 0 is the most significant pattern bit)."""
+    table patterns (variable 0 is the most significant pattern bit).
+
+    Built per arity class k with oracle's table-index kernel, in chunks of
+    at most _COUNT_BLOCK_ENTRIES entries, on patterns of the smallest
+    unsigned type that holds 2^n - 1 (a quarter of int64's memory traffic
+    at n = 16), as one take from the chunk's unpacked 2^k-bit tables."""
     n = base.num_vars
-    patterns = np.arange(1 << n, dtype=np.int64)
-    bit_of = {v: n - 1 - v for v in range(n)}
-    return np.array(
-        [clause_values(c, patterns, bit_of) for c in base.clauses], dtype=np.float32
-    )
+    patterns = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    M = np.empty((base.num_clauses, patterns.size), dtype=np.float32)
+    by_arity: dict[int, list[int]] = {}
+    for j, c in enumerate(base.clauses):
+        by_arity.setdefault(c.arity, []).append(j)
+    rows = max(1, _COUNT_BLOCK_ENTRIES >> n)
+    for k, js in by_arity.items():
+        clauses = [base.clauses[j] for j in js]
+        scopes = np.array([c.scope for c in clauses], np.int64).reshape(len(js), k)
+        bits = (n - 1 - scopes).astype(patterns.dtype)
+        tables = _packed_tables([c.table for c in clauses], k)
+        for lo in range(0, len(js), rows):
+            chunk = tables[lo : lo + rows]
+            flat = np.unpackbits(chunk, axis=1, count=1 << k, bitorder="little").ravel()
+            start = (np.arange(chunk.shape[0], dtype=np.int64) << k)[:, None]
+            M[js[lo : lo + rows]] = flat[_table_index(bits[lo : lo + rows], patterns) + start]
+    return M
 
 
 def _distinct_columns(M: np.ndarray) -> np.ndarray:
@@ -284,55 +307,69 @@ def _distinct_columns(M: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.unique(M, axis=1))
 
 
-def _set_counts(samples: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Per-set sums of the rows of M: row i of samples lists the base clauses
-    set i drew (with repeats), and the result is mult @ M for the (r, m)
-    multiplicity matrix mult. Float32 is exact for these integer counts."""
-    r, m = samples.shape[0], M.shape[0]
+def _multiplicities(samples: np.ndarray, m: int) -> np.ndarray:
+    """The (r, m) multiplicity matrix of samples, whose row i lists the base
+    clauses set i drew (with repeats), in float32, which is exact for these
+    integer counts."""
+    r = samples.shape[0]
     flat = (samples + m * np.arange(r)[:, None]).ravel()
-    mult = np.bincount(flat, minlength=r * m).reshape(r, m).astype(np.float32)
-    return mult @ M
+    return np.bincount(flat, minlength=r * m).reshape(r, m).astype(np.float32)
+
+
+def _set_counts(samples: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Per-set sums of the rows of M: the multiplicities of samples times M."""
+    return _multiplicities(samples, M.shape[0]) @ M
 
 
 def _threshold_clauses(base: CspInstance, samples: np.ndarray, thr_count: int) -> tuple:
     """The _threshold_clause of every row of samples, each row listing the
     base clauses one output clause drew (with repeats).
 
-    For n <= 16 all tables come from full-pattern count matrices: a
+    For n <= 16 the tables come from the (m x 2^n) pattern matrix M. Rows
+    of samples are taken in blocks of at most _COUNT_BLOCK_ENTRIES entries
+    of a full count matrix (one row when 2^n alone is larger), so memory
+    does not grow with the number of output clauses. A block's rows are
+    grouped by scope code, the pattern bits of their scope, computed from
+    the block's multiplicity matrix mult as mult @ var_incidence. A
     threshold clause never reads variables outside its scope, so its table
-    is its count row at the patterns that are 0 there. Those patterns, taken
-    in increasing order, are the scoped table rows. Rows of samples are
-    counted in blocks of at most _COUNT_BLOCK_ENTRIES count-matrix entries
-    (one row when 2^n alone is larger), so memory does not grow with the
-    number of output clauses. A block's tables are packed per scope group,
-    and rows with equal scope and table share one Clause object.
+    is its count row at the 2^|scope| scoped patterns, those that are 0
+    outside the scope; taken in increasing order, they are the table rows.
+    So each group counts only those columns, mult[group] @ M[:, scoped]:
+    2 to 16 columns, not 256, for the one-sided outputs of scopes of 1 to 4
+    variables on an 8-variable base. A full scope reads M in place:
+    gathering all of its columns would copy M in every block, and at
+    n = 16, where a block holds 16 rows, that copy takes about five times
+    as long as the product. The group's tables are packed to bytes, and
+    rows with equal bytes share one Clause.
     """
     n = base.num_vars
     if n > 16:
         return tuple(_threshold_clause(base, row, thr_count) for row in samples)
+    m = base.num_clauses
     M = _pattern_sat_matrix(base)
-    var_incidence = np.zeros((base.num_clauses, n), dtype=np.float32)
-    for j, c in enumerate(base.clauses):
-        var_incidence[j, list(c.scope)] = 1.0
+    scopes = [c.scope for c in base.clauses]
+    var_incidence = np.zeros((m, n), dtype=np.float32)
+    clause_of = np.repeat(np.arange(m), list(map(len, scopes)))
+    var_incidence[clause_of, [v for scope in scopes for v in scope]] = 1
+    full = (1 << n) - 1
     patterns = np.arange(1 << n, dtype=np.int64)
     pattern_bits = 1 << (n - 1 - np.arange(n, dtype=np.int64))
     rows = max(1, _COUNT_BLOCK_ENTRIES >> n)
-    out = np.empty(samples.shape[0], dtype=object)
+    out: list = [None] * samples.shape[0]
     for lo in range(0, samples.shape[0], rows):
-        block = samples[lo : lo + rows]
-        sat = _set_counts(block, M) >= float(thr_count)
-        codes = (_set_counts(block, var_incidence) > 0) @ pattern_bits
+        mult = _multiplicities(samples[lo : lo + rows], m)
+        codes = (mult @ var_incidence > 0) @ pattern_bits
         for code in np.unique(codes).tolist():
             group = np.flatnonzero(codes == code)
+            scoped = M if code == full else M[:, (patterns & ~code) == 0]
+            sat = mult[group] @ scoped >= float(thr_count)
+            packed = np.packbits(sat, axis=1, bitorder="little")
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+            shared = dict.fromkeys(keys)
             scope = tuple(v for v in range(n) if code >> (n - 1 - v) & 1)
-            tables = sat[np.ix_(group, (patterns & ~code) == 0)]
-            packed = np.packbits(tables, axis=1, bitorder="little")
-            raw, width = packed.tobytes(), packed.shape[1]
-            shared: dict[bytes, Clause] = {}
-            for i, at in zip((group + lo).tolist(), range(0, len(raw), width)):
-                key = raw[at : at + width]
-                if key not in shared:
-                    shared[key] = Clause(scope=scope, table=int.from_bytes(key, "little"))
+            for key in shared:
+                shared[key] = Clause(scope=scope, table=int.from_bytes(key, "little"))
+            for i, key in zip((group + lo).tolist(), keys):
                 out[i] = shared[key]
     return tuple(out)
 
@@ -719,7 +756,7 @@ def one_sided_sweep(
     balanced_trials = 0
     for trial in range(trials):
         entries = _list_draw(derive_seed(p.seed, trial), m, L_len)
-        _, _, heavy_sum, light_sum = _extremal_sums(
+        heavy_sum, light_sum = _extremal_sums(
             np.bincount(entries, minlength=m), cut.heavy_size, cut.light_size
         )
         balanced = heavy_sum <= cut.heavy_max and light_sum >= cut.light_min

@@ -9,14 +9,13 @@ check.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .csp import CspInstance, clause_values
+from .csp import CspInstance, clause_values, shared_copies
 from .errors import ResourceCapError
 from .util import derive_seed, floor_frac, frac_str, threshold_count, wilson_interval
 
@@ -78,27 +77,41 @@ def satisfied_counts_vector(inst: CspInstance, assignments: np.ndarray) -> np.nd
 def _table_index(scopes: np.ndarray, words: np.ndarray) -> np.ndarray:
     """(clauses x words) table index of each clause (row of scopes, scope[0]
     the most significant bit) on each assignment integer, one scope position
-    at a time."""
-    idx = np.zeros((scopes.shape[0], words.size), dtype=np.int64)
+    at a time, in the dtype of words (which scopes must share)."""
+    idx = np.zeros((scopes.shape[0], words.size), dtype=words.dtype)
     for i in range(scopes.shape[1]):
         idx = (idx << 1) | ((words >> scopes[:, i : i + 1]) & 1)
     return idx
 
 
+def _packed_tables(tables: Sequence[int], arity: int) -> np.ndarray:
+    """The (c x bytes) tables of c clauses of one arity, each packed
+    little-endian so that T_j[a] is bit a of row j."""
+    nbytes = ((1 << arity) + 7) // 8
+    raw = b"".join(t.to_bytes(nbytes, "little") for t in tables)
+    return np.frombuffer(raw, np.uint8).reshape(-1, nbytes)
+
+
 def _arity_classes(clauses: Sequence) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per clause arity k, in increasing order, over the distinct clauses:
-    the scopes (c x k), the tables (c x bytes), each packed little-endian so
-    that T_j[a] is bit a of row j, and the number of copies of each clause."""
+    """Per clause arity k, in increasing order, over the distinct clauses in
+    first-occurrence order: the scopes (c x k), the packed tables (see
+    _packed_tables) and the number of copies of each clause.
+
+    Copies are counted by object first (see shared_copies), and the counts
+    of equal objects are then merged by value."""
+    merged: dict[tuple, int] = {}
+    for j, copies in zip(*shared_copies(clauses)):
+        key = clauses[j].scope, clauses[j].table
+        merged[key] = merged.get(key, 0) + copies
     by_arity: dict[int, list] = {}
-    for (scope, table), copies in Counter((cl.scope, cl.table) for cl in clauses).items():
+    for (scope, table), copies in merged.items():
         by_arity.setdefault(len(scope), []).append((scope, table, copies))
     out = []
     for k, group in sorted(by_arity.items()):
         scopes, tables, copies = zip(*group)
-        nbytes = ((1 << k) + 7) // 8
-        raw = b"".join(t.to_bytes(nbytes, "little") for t in tables)
-        tables = np.frombuffer(raw, np.uint8).reshape(-1, nbytes)
-        out.append((np.array(scopes, np.int64), tables, np.array(copies, np.int64)))
+        out.append(
+            (np.array(scopes, np.int64), _packed_tables(tables, k), np.array(copies, np.int64))
+        )
     return out
 
 

@@ -111,6 +111,36 @@ class TestClauseEvaluation:
             Clause((1, 1), 0b1010)
 
 
+class TestInstanceChecks:
+    def test_shared_bad_clause_refused(self):
+        # the range and width checks see each distinct object once; a bad
+        # clause still fails when it is one object shared by many positions
+        good, bad = disjunction([(0, True)]), Clause((2, 7, 1), 0b1)
+        for clauses in ((bad,) * 5, (good, bad) * 300, (good,) * 9 + (bad,)):
+            with pytest.raises(MalformedInstanceError, match="^variable 7 out of range for 3 "):
+                CspInstance(3, clauses)
+            with pytest.raises(MalformedInstanceError, match="^declared width 2 below max "):
+                CspInstance(8, clauses, width=2)
+            assert CspInstance(8, clauses).width == 3
+
+    def test_first_bad_variable_named(self):
+        # the first clause out of range, and its first variable out of range
+        first, later = Clause((1, 9, 6), 0b1), Clause((8,), 0b1)
+        clauses = (disjunction([(0, True)]), first, later, first)
+        with pytest.raises(MalformedInstanceError, match="^variable 9 out of range for 5 vars$"):
+            CspInstance(5, clauses)
+        with pytest.raises(MalformedInstanceError, match="^variable 8 out of range for 5 vars$"):
+            CspInstance(5, clauses[2:])
+        assert CspInstance(10, clauses).width == 3
+
+    def test_shared_copies_by_identity(self):
+        a, b = disjunction([(0, True)]), disjunction([(1, False)])
+        twin = Clause(a.scope, a.table)  # equal to a, but another object
+        first, copies = csp_mod.shared_copies((b, a, b, twin, a, a))
+        assert first == [0, 1, 3] and copies == [2, 3, 1]
+        assert csp_mod.shared_copies(()) == ([], [])
+
+
 class TestSatisfiedFraction:
     def test_degenerate_empty_clause_list(self):
         inst = CspInstance(3, ())

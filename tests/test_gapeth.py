@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gapforge import gapeth
-from gapforge.csp import Clause, CspInstance, disjunction, satisfied_fraction
+from gapforge.csp import Clause, CspInstance, clause_values, disjunction, satisfied_fraction
 from gapforge.errors import GapforgeError, MalformedInstanceError, ShapeMismatchError
 from gapforge.gapeth import (
     _BATCH_COLUMNS,
@@ -18,6 +18,7 @@ from gapforge.gapeth import (
     _balance_cutoffs,
     _distinct_columns,
     _extremal_sums,
+    _extremal_witnesses,
     _gather_maxima,
     _pattern_sat_matrix,
     _set_counts,
@@ -82,7 +83,7 @@ def reference_one_sided_sweep(base, p, fam, trials):
     for trial in range(trials):
         seed = derive_seed(derive_seed(p.seed, trial), 0x1157)
         entries = rng_from(seed).integers(0, m, size=L_len)
-        _, _, heavy_sum, light_sum = _extremal_sums(
+        heavy_sum, light_sum = _extremal_sums(
             np.bincount(entries, minlength=m), heavy_size, light_size
         )
         if not (Fraction(heavy_sum) <= heavy_bound and Fraction(light_sum) >= light_bound):
@@ -168,6 +169,17 @@ class TestLists:
         )
         assert rep.heavy_sum == heavy
         assert rep.light_sum == light
+
+    def test_extremal_sums_match_witnesses(self):
+        # the sorted-count sums equal the sums over the tie-broken witnesses,
+        # on counts with many ties
+        for seed in range(20):
+            counts = rng_from(seed).integers(0, 4, size=12)
+            for heavy_size, light_size in ((0, 0), (3, 7), (5, 12), (12, 1)):
+                heavy, light = _extremal_witnesses(counts, heavy_size, light_size)
+                sums = _extremal_sums(counts, heavy_size, light_size)
+                assert sums == (int(counts[heavy].sum()), int(counts[light].sum()))
+                assert (heavy.size, light.size) == (heavy_size, light_size)
 
     @pytest.mark.parametrize(
         "s_, eps, m, t",
@@ -483,6 +495,43 @@ class TestOneSided:
             with monkeypatch.context() as mp:
                 mp.setattr(gapeth, "_COUNT_BLOCK_ENTRIES", 7 << n)
                 assert _threshold_clauses(base, samples, thr) == out
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 16])
+    def test_pattern_matrix_matches_clause_values(self, n):
+        # arities 0 to 8 (capped at n) over unsorted random scopes, against
+        # clause_values with variable v read from pattern bit n - 1 - v
+        base = random_table_instance(n, 27, list(range(9)), seed=n)
+        patterns = np.arange(1 << n, dtype=np.int64)
+        bit_of = {v: n - 1 - v for v in range(n)}
+        M = _pattern_sat_matrix(base)
+        assert M.dtype == np.float32 and M.shape == (27, 1 << n)
+        for row, clause in zip(M, base.clauses, strict=True):
+            assert np.array_equal(row, clause_values(clause, patterns, bit_of))
+
+    @pytest.mark.parametrize("n", [6, 14, 15, 16])
+    def test_mixed_scopes_match_threshold_reference(self, n):
+        # clause 0 has no variables and clauses 1 and 2 together cover all
+        # n, so a block holds empty, partial and full scopes at once; at
+        # n = 14, 15, 16 blocks are 64, 32 and 16 rows, so 80 rows span two
+        # to five blocks
+        half = n // 2
+        order = rng_from(n).permutation(n).tolist()
+        tables = rng_from(n).integers(1 << 62, size=2).tolist()
+        clauses = [
+            Clause((), 1),
+            Clause(tuple(order[:half]), tables[0] % (1 << (1 << half))),
+            Clause(tuple(order[half:]), tables[1] % (1 << (1 << (n - half)))),
+            disjunction([(order[0], True), (order[-1], False)]),
+        ]
+        base = CspInstance(n, tuple(clauses))
+        rng = rng_from(derive_seed(n, 7))
+        samples = np.where(rng.random((80, 3)) < 0.5, 0, rng.integers(0, 4, size=(80, 3)))
+        scopes = {len(_threshold_clause(base, row.tolist(), 0).scope) for row in samples}
+        assert {0, n} < scopes
+        for thr in (0, 1, 2, 3):
+            out = _threshold_clauses(base, samples, thr)
+            for clause, row in zip(out, samples, strict=True):
+                assert clause == _threshold_clause(base, row.tolist(), thr)
 
     def test_lll_report_fields(self, red_params, red_family, no_bases):
         _, rep = reduce_one_sided(no_bases[0][0], red_params, red_family)

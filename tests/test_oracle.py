@@ -1,6 +1,7 @@
 """Ground-truth oracle behavior, tail-bound formulas, estimators."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -192,6 +193,29 @@ class TestSplitKernel:
             order = rng_from(len(extra)).permutation(len(clauses))
             inst = CspInstance(10, tuple(clauses[i] for i in order))
             assert_kernel_matches_reference(inst)
+
+    def test_arity_classes_match_value_counts(self):
+        # copies counted by object, then merged by value, against a Counter
+        # keyed by (scope, table): shared copies, equal but unshared copies,
+        # and both mixed, shuffled
+        base = random_table_instance(9, 30, [0, 1, 2, 3, 7, 9], seed=5)
+        pool = base.clauses[:12]
+        for mode in ("shared", "unshared", "mixed"):
+            clauses = []
+            for i in range(400):
+                c = pool[i % len(pool)]
+                fresh = mode == "unshared" or (mode == "mixed" and i % 3 == 0)
+                clauses.append(Clause(c.scope, c.table) if fresh else c)
+            order = rng_from(len(mode)).permutation(len(clauses))
+            clauses = [clauses[i] for i in order] + list(base.clauses[12:])
+            want: dict[int, list] = {}
+            for (scope, table), copies in Counter((c.scope, c.table) for c in clauses).items():
+                want.setdefault(len(scope), []).append((scope, table, copies))
+            got = oracle._arity_classes(clauses)
+            assert [sc.shape[1] for sc, _, _ in got] == sorted(want)
+            for (scopes, tables, copies), k in zip(got, sorted(want)):
+                assert [(tuple(sc), int.from_bytes(tb.tobytes(), "little"), cp)
+                        for sc, tb, cp in zip(scopes.tolist(), tables, copies.tolist())] == want[k]
 
     def test_pairs_numbered_in_key_order(self):
         # B row cols[r, j] is the rank of the bit offset j * stride + a of
