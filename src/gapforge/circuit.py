@@ -326,10 +326,6 @@ def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
     return out
 
 
-def layer_means(layer_strings: Sequence[Sequence[int]]) -> list[Fraction]:
-    return [Fraction(int(sum(s)), len(s)) for s in layer_strings]
-
-
 # ---------------------------------------------------------------------------
 # goodness certification
 # ---------------------------------------------------------------------------

@@ -376,9 +376,16 @@ def _pad_to_width3(
 
     The produced block is satisfiable (with suitable fresh-variable values)
     iff the original disjunction is satisfied, and any assignment falsifying
-    the original falsifies at least one block clause.
+    the original falsifies at least one block clause. The empty disjunction
+    becomes the 8 sign patterns over 3 fresh variables, of which every
+    assignment falsifies exactly one.
     """
     k = len(lits)
+    if k == 0:
+        vs = [fresh.pop() for _ in range(3)]
+        return [
+            tuple((v, bool((row >> i) & 1)) for i, v in enumerate(vs)) for row in range(8)
+        ]
     if k == 3:
         return [tuple(lits)]
     if k == 2:
@@ -435,7 +442,7 @@ def csp_to_3sat(inst: CspInstance) -> tuple[CspInstance, ConversionReport]:
                 (v, ((row >> (c.arity - 1 - i)) & 1) == 0)
                 for i, v in enumerate(c.scope)
             ]
-            need = {3: 0, 2: 1, 1: 2}.get(len(blocking), max(0, len(blocking) - 3))
+            need = abs(len(blocking) - 3)
             fresh = list(range(next_var, next_var + need))[::-1]
             next_var += need
             block.extend(_pad_to_width3(blocking, fresh))

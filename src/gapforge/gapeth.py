@@ -22,7 +22,6 @@ from .csp import (
     Clause,
     CspInstance,
     clause_values,
-    csp_to_3sat,
     table_from_bits,
 )
 from .errors import (
@@ -126,8 +125,6 @@ class BalanceReport:
     light_sum: int
     heavy_bound: Fraction
     light_bound: Fraction
-    heavy_witness: tuple
-    light_witness: tuple
     floored: bool
 
     def to_doc(self) -> dict:
@@ -151,16 +148,6 @@ def _extremal_sums(counts: np.ndarray, heavy_size: int, light_size: int) -> tupl
     one sort of the counts gives both."""
     ordered = np.sort(counts)
     return int(ordered[counts.size - heavy_size :].sum()), int(ordered[:light_size].sum())
-
-
-def _extremal_witnesses(
-    counts: np.ndarray, heavy_size: int, light_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted indices of the heavy_size heaviest and the light_size
-    lightest clauses by occurrence count, ties broken as sorting (count,
-    index) pairs would."""
-    order = np.argsort(counts, kind="stable")
-    return np.sort(order[counts.size - heavy_size :]), np.sort(order[:light_size])
 
 
 @dataclass(frozen=True)
@@ -206,7 +193,6 @@ def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
     cut = _balance_cutoffs(p, lst.base_clauses, len(lst.entries))
     counts = lst.occurrence_counts()
     heavy_sum, light_sum = _extremal_sums(counts, cut.heavy_size, cut.light_size)
-    heavy, light = _extremal_witnesses(counts, cut.heavy_size, cut.light_size)
     heavy_ok = heavy_sum <= cut.heavy_max
     light_ok = light_sum >= cut.light_min
     return BalanceReport(
@@ -219,18 +205,7 @@ def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
         light_sum=light_sum,
         heavy_bound=cut.heavy_bound,
         light_bound=cut.light_bound,
-        heavy_witness=tuple(heavy.tolist()),
-        light_witness=tuple(light.tolist()),
         floored=cut.floored,
-    )
-
-
-def list_instance(base: CspInstance, lst: ClauseList) -> CspInstance:
-    """The CSP whose clause list is the sampled list (repeats kept)."""
-    return CspInstance(
-        base.num_vars,
-        tuple(base.clauses[j] for j in lst.entries),
-        base.width,
     )
 
 
@@ -316,11 +291,6 @@ def _multiplicities(samples: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(flat, minlength=r * m).reshape(r, m).astype(np.float32)
 
 
-def _set_counts(samples: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Per-set sums of the rows of M: the multiplicities of samples times M."""
-    return _multiplicities(samples, M.shape[0]) @ M
-
-
 def _threshold_clauses(base: CspInstance, samples: np.ndarray, thr_count: int) -> tuple:
     """The _threshold_clause of every row of samples, each row listing the
     base clauses one output clause drew (with repeats).
@@ -397,13 +367,14 @@ def _two_sided_draws(seed: int, n: int, m: int, k: int) -> np.ndarray:
 
 
 def _check_two_sided_base(base: CspInstance) -> None:
-    """Refuse a base with clauses but no variables: the reduction makes one
-    output clause per variable, so its output would be empty and accepted
-    whatever the base's optimum."""
-    if base.num_vars == 0 and base.num_clauses > 0:
+    """Refuse a base with clauses but no variables, or with variables but no
+    clauses. The reduction makes one output clause per variable, so without
+    variables its output would be empty and accepted whatever the base's
+    optimum; without clauses there are none to sample."""
+    if (base.num_vars == 0) != (base.num_clauses == 0):
         raise MalformedInstanceError(
-            f"the two-sided reduction needs variables; the base has none and "
-            f"{base.num_clauses} clauses"
+            f"the two-sided reduction needs variables and clauses; the base has "
+            f"{base.num_vars} variables and {base.num_clauses} clauses"
         )
 
 
@@ -561,17 +532,11 @@ def solve_driver(
     subroutine: Callable[[CspInstance], bool],
     reduction: str = "one-sided",
     fam: SamplerFamily | None = None,
-    convert_to_3sat: bool = False,
 ) -> DriverReport:
     """Repeat the chosen reduction with per-trial seeds derived from
     (p.seed, trial index) and return YES iff any output is accepted by the
     perfect-completeness subroutine. The one-sided reduction needs fam, the
     reduction family over the p.t * m list positions.
-
-    The subroutine receives the threshold CSP directly by default; pass
-    convert_to_3sat=True when plugging a decider that expects 3SAT (the
-    conversion's auxiliary variables put converted instances beyond the
-    brute-force oracle, which exploits nothing and enumerates everything).
     """
     if reduction not in ("one-sided", "two-sided"):
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -586,8 +551,6 @@ def solve_driver(
         else:
             inst, _ = reduce_two_sided(base, p_t)
             rejected = False
-        if convert_to_3sat:
-            inst, _ = csp_to_3sat(inst)
         try:
             verdict = subroutine(inst)
         except Exception as exc:
@@ -651,30 +614,6 @@ def _sweep_report(sat_counts: Sequence[int], denominator: int, balanced: int) ->
     )
 
 
-def two_sided_sweep(
-    base: CspInstance,
-    p: ReductionParams,
-    trials: int,
-) -> SweepReport:
-    """Exact output optima of the two-sided reduction over seeded trials.
-
-    Trial i reproduces reduce_two_sided at seed derive_seed(p.seed, i); used
-    to chart how the NO-side failure frequency falls as k grows.
-    """
-    _check_two_sided_base(base)
-    if base.num_vars > 16:
-        raise ResourceCapError("sweep enumerates 2^n columns; need n <= 16")
-    n, m = base.num_vars, base.num_clauses
-    M = _distinct_columns(_pattern_sat_matrix(base))
-    thr_count = threshold_count(p.threshold, p.k)
-    sat_counts = []
-    for trial in range(trials):
-        draws = _two_sided_draws(derive_seed(p.seed, trial), n, m, p.k)
-        sat = _set_counts(draws, M) >= float(thr_count)
-        sat_counts.append(int(sat.sum(axis=0, dtype=np.int64).max()))
-    return _sweep_report(sat_counts, n, balanced=trials)
-
-
 # one_sided_sweep counts balanced trials in batches when M has at most
 # _BATCH_MAX_COLUMNS distinct columns, about _BATCH_COLUMNS columns of
 # M[entries] per batch
@@ -711,7 +650,7 @@ def one_sided_sweep(
     (L x L) 0/1 set-by-position incidence Inc, the trial's (L x m) one-hot
     list E and the (m x d) matrix M; Inc itself is never built. Which
     product comes first is a matrix-chain order choice. Inc @ E is the
-    multiplicity matrix that _set_counts bincounts from the trial's L * C
+    multiplicity matrix that _multiplicities bincounts from the trial's L * C
     draws, followed by one (L x m) @ (m x d) product, so its cost grows
     slowly with d. E @ M is just M[entries], and Inc @ M[entries] sums its
     rows at each set's C positions: L * C * d small-integer adds, with the
@@ -741,9 +680,10 @@ def one_sided_sweep(
         # M[entries] of each queued trial, side by side
         stacked = np.empty((L_len, batch, d), dtype=np.uint8)
     else:
-        # _set_counts in a workspace reused by every trial: fresh L * C and
-        # L * d arrays per trial fault in new pages (unless an earlier large
-        # free raised malloc's trim threshold), doubling a d = 247 trial
+        # the multiplicities times M in a workspace reused by every trial:
+        # fresh L * C and L * d arrays per trial fault in new pages (unless an
+        # earlier large free raised malloc's trim threshold), doubling a
+        # d = 247 trial
         flat = np.empty(fam.sets.shape, dtype=np.int64)
         row_off = m * np.arange(L_len)[:, None]
         mult = np.empty((L_len, m), dtype=np.float32)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from gapforge.circuit import build_deterministic, certify_goodness
 from gapforge.csp import Clause, CspInstance, disjunction
-from gapforge.gapeth import ReductionParams, reduction_family
+from gapforge.gapeth import ClauseList, ReductionParams, reduction_family
 from gapforge.oracle import brute_force_opt
 from gapforge.util import derive_seed, rng_from
 
@@ -38,6 +39,19 @@ def unit_pair_instance(n: int, m: int, pair_vars: tuple = (0,)) -> CspInstance:
         clauses.append(disjunction([(v, True)]))
         clauses.append(disjunction([(v, False)]))
     return CspInstance(n, tuple(clauses))
+
+
+def list_instance(base: CspInstance, lst: ClauseList) -> CspInstance:
+    """The CSP whose clause list is the sampled list (repeats kept)."""
+    return CspInstance(
+        base.num_vars,
+        tuple(base.clauses[j] for j in lst.entries),
+        base.width,
+    )
+
+
+def layer_means(layer_strings: Sequence[Sequence[int]]) -> list[Fraction]:
+    return [Fraction(int(sum(s)), len(s)) for s in layer_strings]
 
 
 def high_optimum_instance(n: int, m: int, seed: int) -> tuple:

@@ -18,7 +18,6 @@ from gapforge.circuit import (
     certify_goodness,
     completeness_inputs,
     evaluate,
-    layer_means,
     parse_circuit,
     seed_failure_event,
     serialize_circuit,
@@ -26,7 +25,6 @@ from gapforge.circuit import (
 from gapforge.csp import evaluate_clause, parse_instance, serialize
 from gapforge.gapeth import (
     check_balanced,
-    list_instance,
     one_sided_sweep,
     reduce_one_sided,
     sample_list,
@@ -54,6 +52,8 @@ from gapforge.transform import (
     transform,
 )
 from gapforge.util import derive_seed
+
+from conftest import layer_means, list_instance
 
 NINE_TENTHS = Fraction(9, 10)
 SIX_TENTHS = Fraction(6, 10)

@@ -19,7 +19,6 @@ from gapforge.circuit import (
     circuit_digest,
     completeness_inputs,
     evaluate,
-    layer_means,
     parse_circuit,
     randomized_depth,
     seed_failure_event,
@@ -31,6 +30,8 @@ from gapforge.errors import GapforgeError, InfeasibleParametersError, ParseError
 from gapforge.oracle import estimate, exhaustive_layer_check
 from gapforge.sampler import SamplerParams, second_eigenvalue, swap_climb
 from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
+
+from conftest import layer_means
 
 
 class TestScheme:

@@ -208,16 +208,19 @@ class TestGapReduceCommand:
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_zero_variable_two_sided_refused(self, tmp_path, dry_run, capsys):
         # the two-sided reduction has no output clauses without variables, so
-        # it refuses the base instead of answering YES on every trial
-        gcsp = tmp_path / "zero48.gcsp"
-        gcsp.write_text("gcsp 0 48 0\n" + "0 0\n" * 48)
-        report = tmp_path / "g.json"
-        code = run([
-            "gap-reduce", "--input", str(gcsp), "--mode", "two-sided", "--seed", "0",
-            "--report", str(report),
-        ] + ["--dry-run"] * dry_run)
-        assert code == 2 and not report.exists()
-        assert "needs variables" in capsys.readouterr().err
+        # it refuses the base instead of answering YES on every trial; a base
+        # with variables but no clauses has nothing to sample
+        bases = {"zero48.gcsp": "gcsp 0 48 0\n" + "0 0\n" * 48, "empty3.cnf": "p cnf 3 0\n"}
+        for name, text in bases.items():
+            path = tmp_path / name
+            path.write_text(text)
+            report = tmp_path / "g.json"
+            code = run([
+                "gap-reduce", "--input", str(path), "--mode", "two-sided", "--seed", "0",
+                "--report", str(report),
+            ] + ["--dry-run"] * dry_run)
+            assert code == 2 and not report.exists()
+            assert "needs variables and clauses" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -285,6 +285,14 @@ class TestSerialization:
         assert satisfied_fraction(grown, a) < before
 
 
+def false_clause_among_others() -> CspInstance:
+    """A false clause without variables, a width-2 and a unit disjunction."""
+    return CspInstance(
+        2,
+        (Clause((), 0), disjunction([(0, True), (1, True)]), disjunction([(0, False)])),
+    )
+
+
 class TestCspTo3Sat:
     def test_width3_disjunction_identity(self):
         inst = random_3sat(4, 6, 11)
@@ -341,7 +349,7 @@ class TestCspTo3Sat:
 
     def test_soundness_translation_bound(self):
         # every output assignment restricts within the reported loss factor
-        inst = CspInstance(
+        parity = CspInstance(
             3,
             (
                 Clause((0, 1, 2), 0b10010110),  # parity
@@ -349,13 +357,26 @@ class TestCspTo3Sat:
                 disjunction([(2, False)]),
             ),
         )
-        out, report = csp_to_3sat(inst)
-        ratio = report.expansion_ratio
-        for a_out in range(1 << out.num_vars):
-            bits_out = tuple((a_out >> v) & 1 for v in range(out.num_vars))
-            frac_out = satisfied_fraction(out, bits_out)
-            frac_in = satisfied_fraction(inst, bits_out[: inst.num_vars])
-            assert 1 - frac_in <= (1 - frac_out) * ratio
+        for inst in (parity, false_clause_among_others()):
+            out, report = csp_to_3sat(inst)
+            ratio = report.expansion_ratio
+            for a_out in range(1 << out.num_vars):
+                bits_out = tuple((a_out >> v) & 1 for v in range(out.num_vars))
+                frac_out = satisfied_fraction(out, bits_out)
+                frac_in = satisfied_fraction(inst, bits_out[: inst.num_vars])
+                assert 1 - frac_in <= (1 - frac_out) * ratio
+
+    def test_false_arity_zero_clause(self):
+        # the empty disjunction becomes all 8 sign patterns over 3 fresh
+        # variables, so every assignment falsifies exactly one of them
+        out, report = csp_to_3sat(CspInstance(1, (Clause((), 0),)))
+        assert (out.num_vars, out.num_clauses, report.max_block) == (4, 8, 8)
+        assert brute_force_opt(out).optimum == Fraction(7, 8)
+        # among ordinary clauses: 8 + 2 + 4 output clauses, of which only one
+        # of the 8 must fail
+        inst = false_clause_among_others()
+        assert brute_force_opt(inst).optimum == Fraction(2, 3)
+        assert brute_force_opt(csp_to_3sat(inst)[0]).optimum == Fraction(13, 14)
 
     def test_variable_budget(self):
         inst = CspInstance(4, (Clause((0, 1, 2, 3), 0x0001),))

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from gapforge import gapeth
-from gapforge.csp import Clause, CspInstance, clause_values, disjunction, satisfied_fraction
+from gapforge.csp import (
+    Clause,
+    CspInstance,
+    clause_values,
+    csp_to_3sat,
+    disjunction,
+    satisfied_fraction,
+)
 from gapforge.errors import GapforgeError, MalformedInstanceError, ShapeMismatchError
 from gapforge.gapeth import (
     _BATCH_COLUMNS,
@@ -18,16 +25,14 @@ from gapforge.gapeth import (
     _balance_cutoffs,
     _distinct_columns,
     _extremal_sums,
-    _extremal_witnesses,
     _gather_maxima,
+    _multiplicities,
     _pattern_sat_matrix,
-    _set_counts,
     _sweep_report,
     _threshold_clause,
     _threshold_clauses,
     canonical_no_instance,
     check_balanced,
-    list_instance,
     one_sided_sweep,
     reduce_one_sided,
     reduce_two_sided,
@@ -35,13 +40,12 @@ from gapforge.gapeth import (
     reduction_family_params,
     sample_list,
     solve_driver,
-    two_sided_sweep,
 )
 from gapforge.oracle import brute_force_opt, is_satisfiable
 from gapforge.sampler import SamplerFamily, family_from_sets
 from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
 
-from conftest import random_3sat, unit_pair_instance
+from conftest import list_instance, random_3sat, unit_pair_instance
 from test_oracle import random_table_instance
 
 
@@ -51,11 +55,18 @@ def small_params(**kw) -> ReductionParams:
     return ReductionParams(**defaults)
 
 
-def reference_two_sided_sweep(base, p, trials):
-    """two_sided_sweep with its per-trial max over all 2^n pattern columns:
-    the reference for the sweeps' distinct-column reduction."""
+def _set_counts(samples, M):
+    """Per-set sums of the rows of M: the multiplicities of samples times M."""
+    return _multiplicities(samples, M.shape[0]) @ M
+
+
+def reference_two_sided_sweep(base, p, trials, columns=lambda M: M):
+    """Exact output optima of the two-sided reduction over seeded trials, as
+    a SweepReport: trial i reproduces reduce_two_sided at seed
+    derive_seed(p.seed, i), and its optimum is the per-trial max over
+    columns(M) of the pattern matrix, all 2^n columns by default."""
     n, m = base.num_vars, base.num_clauses
-    M = _pattern_sat_matrix(base)
+    M = columns(_pattern_sat_matrix(base))
     thr_count = threshold_count(p.threshold, p.k)
     sat_counts = []
     for trial in range(trials):
@@ -170,16 +181,19 @@ class TestLists:
         assert rep.heavy_sum == heavy
         assert rep.light_sum == light
 
-    def test_extremal_sums_match_witnesses(self):
-        # the sorted-count sums equal the sums over the tie-broken witnesses,
-        # on counts with many ties
+    def test_extremal_sums_match_subset_enumeration_with_ties(self):
+        # the sorted-count sums equal brute force over all subsets, on counts
+        # with many ties
         for seed in range(20):
             counts = rng_from(seed).integers(0, 4, size=12)
+
+            def subset_sums(size):
+                subsets = itertools.combinations(range(12), size)
+                return [int(counts[list(sub)].sum()) for sub in subsets]
+
             for heavy_size, light_size in ((0, 0), (3, 7), (5, 12), (12, 1)):
-                heavy, light = _extremal_witnesses(counts, heavy_size, light_size)
-                sums = _extremal_sums(counts, heavy_size, light_size)
-                assert sums == (int(counts[heavy].sum()), int(counts[light].sum()))
-                assert (heavy.size, light.size) == (heavy_size, light_size)
+                want = (max(subset_sums(heavy_size)), min(subset_sums(light_size)))
+                assert _extremal_sums(counts, heavy_size, light_size) == want
 
     @pytest.mark.parametrize(
         "s_, eps, m, t",
@@ -191,15 +205,6 @@ class TestLists:
         for total in range(t * m + 1):
             assert (total <= cut.heavy_max) == (Fraction(total) <= cut.heavy_bound)
             assert (total >= cut.light_min) == (Fraction(total) >= cut.light_bound)
-
-    def test_witnesses_are_extremal(self):
-        base = random_3sat(5, 8, 5)
-        p = small_params(t=2, seed=6)
-        lst = sample_list(base, p)
-        rep = check_balanced(lst, p)
-        counts = lst.occurrence_counts()
-        assert sum(counts[list(rep.heavy_witness)]) == rep.heavy_sum
-        assert sum(counts[list(rep.light_witness)]) == rep.light_sum
 
 
 class TestCanonicalNo:
@@ -227,15 +232,16 @@ class TestTwoSided:
 
     def test_zero_variable_base_refused(self):
         # one output clause per variable: an empty output would accept the
-        # 48 contradictions on every trial
-        base = CspInstance(0, (Clause((), 0),) * 48)
+        # 48 contradictions on every trial; a base with variables but no
+        # clauses has nothing to sample
         p = small_params(k=8)
-        with pytest.raises(MalformedInstanceError, match="needs variables"):
-            reduce_two_sided(base, p)
-        with pytest.raises(MalformedInstanceError, match="needs variables"):
-            two_sided_sweep(base, p, trials=4)
-        with pytest.raises(MalformedInstanceError, match="needs variables"):
-            solve_driver(base, p, 4, subroutine=is_satisfiable, reduction="two-sided")
+        for base in (CspInstance(0, (Clause((), 0),) * 48), CspInstance(3, ())):
+            with pytest.raises(MalformedInstanceError, match="needs variables and clauses"):
+                reduce_two_sided(base, p)
+            with pytest.raises(MalformedInstanceError, match="needs variables and clauses"):
+                solve_driver(base, p, 4, subroutine=is_satisfiable, reduction="two-sided")
+        # a base with neither keeps its empty output
+        assert reduce_two_sided(CspInstance(0, ()), p)[0].num_clauses == 0
 
     @pytest.mark.parametrize("n", [12, 17])
     def test_clauses_match_threshold_reference(self, n):
@@ -259,7 +265,7 @@ class TestTwoSided:
             p = ReductionParams(
                 s=Fraction(1, 2), epsilon=Fraction(1, 4), k=k, t=1, seed=77
             )
-            sweep = two_sided_sweep(base, p, trials=1500)
+            sweep = reference_two_sided_sweep(base, p, trials=1500)
             freqs[k] = sweep.optima_above_half / sweep.trials
         assert freqs[48] < freqs[8]
 
@@ -273,7 +279,7 @@ class TestTwoSided:
         trials = 8
         for base, k in cases:
             p = ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=k, t=1, seed=5)
-            sweep = two_sided_sweep(base, p, trials=trials)
+            sweep = reference_two_sided_sweep(base, p, trials)
             opts = [
                 brute_force_opt(
                     reduce_two_sided(base, replace(p, seed=derive_seed(p.seed, t)))[0]
@@ -291,13 +297,14 @@ class TestTwoSided:
 class TestDistinctColumns:
     @pytest.mark.parametrize("which", SWEEP_BASES)
     def test_two_sided_sweep_matches_all_columns(self, which, no_bases):
+        # the two-sided optima over the distinct columns equal those over all
         base = sweep_bases(no_bases)[which]
         for k in (8, 48):
             p = ReductionParams(
                 s=Fraction(1, 2), epsilon=Fraction(1, 4), k=k, t=1, seed=77
             )
             trials = 100 if base.num_vars > 8 else 300
-            got = two_sided_sweep(base, p, trials)
+            got = reference_two_sided_sweep(base, p, trials, _distinct_columns)
             assert got == reference_two_sided_sweep(base, p, trials)
 
     @pytest.mark.parametrize("which", SWEEP_BASES)
@@ -667,9 +674,8 @@ class TestDriver:
             base,
             p,
             2,
-            subroutine=lambda i: is_satisfiable(i, cap=24),
+            subroutine=lambda i: is_satisfiable(csp_to_3sat(i)[0], cap=24),
             reduction="two-sided",
-            convert_to_3sat=True,
         )
         assert rep.answer
 

@@ -1,7 +1,7 @@
 """Golden outputs: sha256 of the reports and circuit file of a fixed CLI
 command set, of a deterministic circuit at m=1024 and its certificate, of
 two sampler families, of one expander per construction branch and the
-repr of their second eigenvalues, of one-sided and two-sided sweep reports, of one
+repr of their second eigenvalues, of one-sided sweep reports, of one
 serialized 3SAT instance and of two serialized two-sided reductions. A
 refactor that keeps behaviour keeps every hash; a declared correctness fix
 that changes an output updates its hash here."""
@@ -21,7 +21,6 @@ from gapforge.gapeth import (
     ReductionParams,
     one_sided_sweep,
     reduce_two_sided,
-    two_sided_sweep,
 )
 from gapforge.sampler import (
     SamplerParams,
@@ -268,7 +267,7 @@ def doc_digest(doc: dict) -> str:
 
 # sweep -> sha256 of its report doc: 300 one-sided trials over the reduction
 # family on each NO base and the first YES base (master seed derived from the
-# base's position), and 300 two-sided trials on the n=12 unit-pair base at k=8
+# base's position)
 GOLDEN_SWEEPS = {
     "one-sided-no0": (
         "ea3f140f46f680a954aa14dc9a3343ead6196d388197644a0d150c821595f9f5"
@@ -285,9 +284,6 @@ GOLDEN_SWEEPS = {
     "one-sided-yes0": (
         "a56bb0406cbf066db44b3a190fb9276e9a7372fe4e22bf08ed3fd0f3affd229e"
     ),
-    "two-sided-n12": (
-        "0a7b89e4ca794182ac44bc6605eea06c5cf08e0fd70e3676ba7e7c5f91ba55eb"
-    ),
 }
 
 
@@ -299,10 +295,6 @@ def test_sweeps_match_golden(red_params, red_family, no_bases, yes_bases):
         p = replace(red_params, seed=derive_seed(red_params.seed, i))
         doc = one_sided_sweep(base, p, red_family, trials=300).to_doc()
         out[f"one-sided-{name}"] = doc_digest(doc)
-    p = ReductionParams(s=Fraction(1, 2), epsilon=Fraction(1, 4), k=8, t=1, seed=77)
-    out["two-sided-n12"] = doc_digest(
-        two_sided_sweep(unit_pair_instance(12, 48, (0,)), p, trials=300).to_doc()
-    )
     assert out == GOLDEN_SWEEPS
 
 
