@@ -30,17 +30,18 @@ import numpy as np
 from .errors import GapforgeError, InfeasibleParametersError, ParseError
 from .oracle import estimate
 from .sampler import (
-    SamplerParams,
     build_expander,
     second_eigenvalue,
     swap_climb,
     trace_lambda_sq_bound,
 )
 from .util import (
+    Report,
     derive_seed,
     floor_frac,
     frac_str,
     parse_frac,
+    report_from_doc,
     rng_from,
     sorted_rows,
     threshold_count,
@@ -53,6 +54,7 @@ EXHAUSTIVE_CAP = 18
 CERT_TRIALS = 64  # certify_goodness's seeded strings per statistical layer
 FAN_IN_CAP = 64  # largest fan-in auto_fan_in tries
 PROBE_SEEDS = 48  # wirings auto_fan_in draws to estimate the seed-failure rate
+TARGET_LAMBDA = 0.97  # largest normalized lambda a deterministic sampler layer may have
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,6 @@ def worst_case_degree(width: int, scheme: ThresholdScheme) -> int:
 
 def build_deterministic(
     m: int,
-    params: SamplerParams | None = None,
     seed: int = 0,
     scheme: ThresholdScheme = DEFAULT_SCHEME,
 ) -> RobustCircuit:
@@ -222,22 +223,15 @@ def build_deterministic(
     the w_i previous-layer positions; widths at or below the degenerate
     cutoff fall back to full fan-in, where the scheme bounds hold outright.
 
-    A sampler layer must have lambda <= params.target_lambda. The trace
-    bound lambda^2 <= N/D - 1 decides that exactly in rationals; the degrees
-    worst_case_degree picks keep it far below the default target, so no
-    eigenvalue is solved on default params. Only when the bound exceeds the
-    target is lambda solved to 1e-8 by power iteration, and the layer is
-    rejected if that value exceeds the target too. The wiring records degree
-    and lambda_bound per layer.
+    A sampler layer must have lambda <= TARGET_LAMBDA. The trace bound
+    lambda^2 <= N/D - 1 decides that exactly in rationals; the degrees
+    worst_case_degree picks keep it far below the target, so no eigenvalue
+    is solved. Only when the bound exceeds the target is lambda solved to
+    1e-8 by power iteration, and the layer is rejected if that value exceeds
+    the target too. The wiring records degree and lambda_bound per layer.
     """
     if m < 2:
         raise InfeasibleParametersError("need at least 2 inputs")
-    if params is None:
-        params = SamplerParams(
-            epsilon=scheme.slack,
-            delta=scheme.soundness,
-            gamma=scheme.theta,
-        )
     depth = deterministic_depth(m)
     layers = []
     meta = []
@@ -250,14 +244,14 @@ def build_deterministic(
             D = worst_case_degree(w_in, scheme)
             graph = build_expander(w_in, D, derive_seed(seed, i))
             lam_sq = trace_lambda_sq_bound(graph)
-            if lam_sq <= Fraction(params.target_lambda) ** 2:
+            if lam_sq <= Fraction(TARGET_LAMBDA) ** 2:
                 lam = math.sqrt(lam_sq)
             else:
                 lam = second_eigenvalue(graph, tol=1e-8)
-                if lam > params.target_lambda:
+                if lam > TARGET_LAMBDA:
                     raise InfeasibleParametersError(
                         f"layer {i}: lambda {lam:.4f} above target "
-                        f"{params.target_lambda} at width {w_in}"
+                        f"{TARGET_LAMBDA} at width {w_in}"
                     )
             layers.append(graph.adjacency[:w_out])
             meta.append(LayerWiring(kind="sampler", degree=D, lambda_bound=lam))
@@ -332,7 +326,7 @@ def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
 
 
 @dataclass(frozen=True)
-class LayerVerdict:
+class LayerVerdict(Report):
     layer: int
     width_in: int
     width_out: int
@@ -343,22 +337,9 @@ class LayerVerdict:
     worst_output_mean: Fraction
     witness: str | None
 
-    def to_doc(self) -> dict:
-        return {
-            "layer": self.layer,
-            "width_in": self.width_in,
-            "width_out": self.width_out,
-            "mode": self.mode,
-            "passed": self.passed,
-            "strings_checked": self.strings_checked,
-            "worst_output_count": self.worst_output_count,
-            "worst_output_mean": frac_str(self.worst_output_mean),
-            "witness": self.witness,
-        }
-
 
 @dataclass(frozen=True)
-class GoodnessCertificate:
+class GoodnessCertificate(Report):
     """Per-layer evidence that every <= mean_in input maps to a <= mean_out
     output: exhaustive where the input width permits, otherwise seeded
     adversarial strings plus greedy worst-case search."""
@@ -373,44 +354,11 @@ class GoodnessCertificate:
     passed: bool
 
     def to_doc(self) -> dict:
-        return {
-            "schema": "gapforge-certificate/1",
-            "circuit_digest": self.circuit_digest,
-            "mean_in": frac_str(self.mean_in),
-            "mean_out": frac_str(self.mean_out),
-            "exhaustive_cap": self.exhaustive_cap,
-            "trials": self.trials,
-            "seed": self.seed,
-            "layers": [v.to_doc() for v in self.layers],
-            "passed": self.passed,
-        }
+        return {"schema": "gapforge-certificate/1", **super().to_doc()}
 
     @staticmethod
-    def from_doc(doc: dict) -> "GoodnessCertificate":
-        layers = tuple(
-            LayerVerdict(
-                layer=d["layer"],
-                width_in=d["width_in"],
-                width_out=d["width_out"],
-                mode=d["mode"],
-                passed=d["passed"],
-                strings_checked=d["strings_checked"],
-                worst_output_count=d["worst_output_count"],
-                worst_output_mean=parse_frac(d["worst_output_mean"]),
-                witness=d["witness"],
-            )
-            for d in doc["layers"]
-        )
-        return GoodnessCertificate(
-            circuit_digest=doc["circuit_digest"],
-            mean_in=parse_frac(doc["mean_in"]),
-            mean_out=parse_frac(doc["mean_out"]),
-            exhaustive_cap=doc["exhaustive_cap"],
-            trials=doc["trials"],
-            seed=doc["seed"],
-            layers=layers,
-            passed=doc["passed"],
-        )
+    def from_doc(doc) -> "GoodnessCertificate":
+        return report_from_doc(GoodnessCertificate, doc, layers=LayerVerdict)
 
 
 def circuit_digest(c: RobustCircuit) -> str:

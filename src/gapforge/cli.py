@@ -104,9 +104,11 @@ def cmd_transform(args) -> int:
         circ = circuit_mod.build_randomized(m, args.fanin, seed)
     cert = None
     if args.cert:
-        cert = circuit_mod.GoodnessCertificate.from_doc(
-            json.loads(Path(args.cert).read_text())
-        )
+        try:
+            doc = json.loads(Path(args.cert).read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"{args.cert}: {exc}") from None
+        cert = circuit_mod.GoodnessCertificate.from_doc(doc)
     elif args.certify:
         cert = found
         if cert is None:
@@ -193,9 +195,7 @@ def cmd_certify(args) -> int:
         "sampler_reports": _certificate_reports(circ, seed),
     }
     if args.out_cert:
-        Path(args.out_cert).write_text(
-            json.dumps(cert.to_doc(), sort_keys=True, indent=2) + "\n"
-        )
+        _emit(cert.to_doc(), args.out_cert)
     _emit(doc, args.report)
     return EXIT_OK if cert.passed else EXIT_VERIFIED_FAIL
 

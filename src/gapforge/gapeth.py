@@ -38,7 +38,7 @@ from .sampler import (
     build_full_family,
     intersection_degree,
 )
-from .util import ceil_frac, derive_seed, floor_frac, frac_str, rng_from, threshold_count
+from .util import Report, ceil_frac, derive_seed, floor_frac, rng_from, threshold_count
 
 # entries in one block of _threshold_clauses' count matrix (4 MB of float32);
 # the one-sided reduction at n = 8 over 1536 sets is one block
@@ -115,7 +115,7 @@ def sample_list(base: CspInstance, p: ReductionParams) -> ClauseList:
 
 
 @dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(Report):
     balanced: bool
     heavy_ok: bool
     light_ok: bool
@@ -126,20 +126,6 @@ class BalanceReport:
     heavy_bound: Fraction
     light_bound: Fraction
     floored: bool
-
-    def to_doc(self) -> dict:
-        return {
-            "balanced": self.balanced,
-            "heavy_ok": self.heavy_ok,
-            "light_ok": self.light_ok,
-            "heavy_size": self.heavy_size,
-            "light_size": self.light_size,
-            "heavy_sum": self.heavy_sum,
-            "light_sum": self.light_sum,
-            "heavy_bound": frac_str(self.heavy_bound),
-            "light_bound": frac_str(self.light_bound),
-            "floored": self.floored,
-        }
 
 
 def _extremal_sums(counts: np.ndarray, heavy_size: int, light_size: int) -> tuple[int, int]:
@@ -345,20 +331,14 @@ def _threshold_clauses(base: CspInstance, samples: np.ndarray, thr_count: int) -
 
 
 @dataclass(frozen=True)
-class TwoSidedReport:
-    params_seed: int
+class TwoSidedReport(Report):
+    seed: int
     num_clauses: int
     sample_size: int
     threshold: Fraction
 
     def to_doc(self) -> dict:
-        return {
-            "reduction": "two-sided",
-            "seed": self.params_seed,
-            "num_clauses": self.num_clauses,
-            "sample_size": self.sample_size,
-            "threshold": frac_str(self.threshold),
-        }
+        return {"reduction": "two-sided", **super().to_doc()}
 
 
 def _two_sided_draws(seed: int, n: int, m: int, k: int) -> np.ndarray:
@@ -393,7 +373,7 @@ def reduce_two_sided(
     thr_count = threshold_count(p.threshold, p.k)
     inst = CspInstance(n, _threshold_clauses(base, draws, thr_count))
     return inst, TwoSidedReport(
-        params_seed=p.seed,
+        seed=p.seed,
         num_clauses=n,
         sample_size=p.k,
         threshold=p.threshold,
@@ -424,7 +404,13 @@ def reduction_family_params(p: ReductionParams) -> SamplerParams:
 
 
 def reduction_family(p: ReductionParams, list_length: int, seed: int) -> SamplerFamily:
-    """Full expander-sampler family over the list positions."""
+    """Full expander-sampler family over the list_length = t * m positions,
+    of which a family needs at least 4 (none when the base has no clauses)."""
+    if list_length < 4:
+        raise InfeasibleParametersError(
+            f"the one-sided reduction's list has {list_length} positions (t * m): "
+            + ("the base has no clauses" if list_length == 0 else "its family needs at least 4")
+        )
     return build_full_family(reduction_family_params(p), list_length, seed)
 
 
@@ -580,23 +566,13 @@ def solve_driver(
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Report):
     trials: int
     balanced_trials: int
     max_optimum: Fraction
     optima_above_half: int
     optima_at_one: int
     worst_trial: int
-
-    def to_doc(self) -> dict:
-        return {
-            "trials": self.trials,
-            "balanced_trials": self.balanced_trials,
-            "max_optimum": frac_str(self.max_optimum),
-            "optima_above_half": self.optima_above_half,
-            "optima_at_one": self.optima_at_one,
-            "worst_trial": self.worst_trial,
-        }
 
 
 def _sweep_report(sat_counts: Sequence[int], denominator: int, balanced: int) -> SweepReport:

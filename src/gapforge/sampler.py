@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import GapforgeError, InfeasibleParametersError, IterationCapError
 from .util import (
+    Report,
     ceil_frac,
     derive_seed,
     floor_frac,
@@ -500,7 +501,7 @@ def mixing_bound(lam: float, gamma: Fraction, eta: Fraction) -> float:
 
 
 @dataclass(frozen=True)
-class StringReport:
+class StringReport(Report):
     label: str
     mean: Fraction
     deviation_fraction: Fraction
@@ -510,19 +511,6 @@ class StringReport:
     eta_budget_ok: bool | None
     mixing_value: float | None
     mixing_ok: bool | None
-
-    def to_doc(self) -> dict:
-        return {
-            "label": self.label,
-            "mean": frac_str(self.mean),
-            "deviation_fraction": frac_str(self.deviation_fraction),
-            "deviation_ok": self.deviation_ok,
-            "eta": None if self.eta is None else frac_str(self.eta),
-            "low_fraction": None if self.low_fraction is None else frac_str(self.low_fraction),
-            "eta_budget_ok": self.eta_budget_ok,
-            "mixing_value": self.mixing_value,
-            "mixing_ok": self.mixing_ok,
-        }
 
 
 @dataclass(frozen=True)

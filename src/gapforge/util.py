@@ -1,15 +1,17 @@
-"""Small shared helpers: seeding, exact rounding, Wilson intervals, and the
-read-only index arrays of circuit layers, expander graphs and families."""
+"""Small shared helpers: seeding, exact rounding, Wilson intervals, the
+read-only index arrays of circuit layers, expander graphs and families, and
+the report codec."""
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
-from .errors import GapforgeError
+from .errors import GapforgeError, ParseError
 
 # z quantile for a two-sided 99% Wilson score interval (Phi^-1(0.995))
 Z99 = 2.5758293035489004
@@ -69,6 +71,52 @@ def parse_frac(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _doc_value(value):
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, Report):
+        return value.to_doc()
+    if isinstance(value, tuple):
+        return [_doc_value(v) for v in value]
+    return value
+
+
+class Report:
+    """Mixin for report dataclasses: to_doc() has one key per field, with a
+    Fraction as "n/d", a nested report as its doc and a tuple as a list of
+    its items' docs; every other value is passed through unchanged."""
+
+    def to_doc(self) -> dict:
+        return {f.name: _doc_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def report_from_doc(cls, doc, **nested):
+    """The inverse of cls.to_doc(): nested maps a field to the report class
+    of its value (a list of docs becomes a tuple). Fraction fields are told
+    by their annotations. ParseError on a non-object, a missing key or a
+    malformed fraction; keys that are not fields are ignored."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{cls.__name__}: expected an object, got {type(doc).__name__}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in doc:
+            raise ParseError(f"{cls.__name__}: missing key {f.name!r}")
+        value = doc[f.name]
+        if f.name in nested:
+            sub = nested[f.name]
+            if isinstance(value, list):
+                value = tuple(report_from_doc(sub, d) for d in value)
+            else:
+                value = report_from_doc(sub, value)
+        elif "Fraction" in str(f.type) and not (value is None and "None" in str(f.type)):
+            try:
+                value = parse_frac(value)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{cls.__name__}.{f.name}: {exc}") from None
+        values[f.name] = value
+    return cls(**values)
 
 
 def sorted_rows(rows, ragged: str) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Circuit construction, evaluation, goodness certification, serialization."""
 
 import hashlib
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from gapforge.circuit import (
     DEFAULT_SCHEME,
+    GoodnessCertificate,
     RobustCircuit,
     ThresholdScheme,
     auto_fan_in,
@@ -28,7 +30,7 @@ from gapforge.circuit import (
 import gapforge.circuit as circuit_mod
 from gapforge.errors import GapforgeError, InfeasibleParametersError, ParseError
 from gapforge.oracle import estimate, exhaustive_layer_check
-from gapforge.sampler import SamplerParams, second_eigenvalue, swap_climb
+from gapforge.sampler import second_eigenvalue, swap_climb
 from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
 
 from conftest import layer_means
@@ -105,11 +107,6 @@ def _count_solves(monkeypatch) -> list:
     return solved
 
 
-def _params(target_lambda: float) -> SamplerParams:
-    s = DEFAULT_SCHEME
-    return SamplerParams(s.slack, s.soundness, s.theta, target_lambda=target_lambda)
-
-
 class TestLayerLambda:
     @pytest.mark.parametrize("m", [64, 1024])
     def test_default_params_solve_nothing(self, monkeypatch, m):
@@ -117,25 +114,29 @@ class TestLayerLambda:
         c = build_deterministic(m, seed=0)
         assert solved == []
         bounds = [w.lambda_bound for w in c.layer_meta if w.kind == "sampler"]
+        assert circuit_mod.TARGET_LAMBDA == 0.97
         assert bounds and all(b <= 0.97 for b in bounds)
 
     def test_bound_above_target_falls_back_to_solve(self, monkeypatch):
         solved = _count_solves(monkeypatch)
-        c = build_deterministic(64, params=_params(0.3), seed=0)
+        default = build_deterministic(64, seed=0)
+        monkeypatch.setattr(circuit_mod, "TARGET_LAMBDA", 0.3)
+        c = build_deterministic(64, seed=0)
         sampler_meta = [w for w in c.layer_meta if w.kind == "sampler"]
         assert len(sampler_meta) == 3  # widths 64, 32, 16; 8 is full fan-in
         assert [w.lambda_bound for w in sampler_meta] == solved
         assert all(lam <= 0.3 for lam in solved)
-        # the same wiring as on default params: only the lambda record differs
-        assert c == build_deterministic(64, seed=0)
+        # the same wiring as at the default target: only the lambda record differs
+        assert c == default
 
     def test_solved_lambda_above_target_raises(self, monkeypatch):
         solved = _count_solves(monkeypatch)
+        monkeypatch.setattr(circuit_mod, "TARGET_LAMBDA", 0.01)
         with pytest.raises(
             InfeasibleParametersError,
             match=r"layer 1: lambda 0\.\d{4} above target 0\.01 at width 64",
         ):
-            build_deterministic(64, params=_params(0.01), seed=0)
+            build_deterministic(64, seed=0)
         assert len(solved) == 1
 
 
@@ -327,6 +328,59 @@ class TestAutoFanIn:
         assert c == build_randomized(256, c.fan_in, seed)
         assert cert == certify_goodness(c, exhaustive_cap=16, trials=40, seed=seed)
         assert (cert.exhaustive_cap, cert.trials, cert.seed) == (16, 40, seed)
+
+
+class TestCertificateCodec:
+    @pytest.fixture(scope="class")
+    def certs(self):
+        shared = _custom_circuit([[tuple(range(10))] * 5], 10, theta=Fraction(1, 2))
+        return {
+            "det-pass": certify_goodness(build_deterministic(64, seed=3)),
+            "det-fail": certify_goodness(shared),
+            "rand-pass": certify_goodness(build_randomized(64, f=32, seed=0)),
+            "rand-fail": certify_goodness(build_randomized(64, f=4, seed=0)),
+        }
+
+    def test_cases_pass_and_fail_with_a_witness(self, certs):
+        for name, cert in certs.items():
+            assert cert.passed == name.endswith("pass")
+            assert any(v.witness for v in cert.layers) == (not cert.passed)
+
+    def test_doc_keys_are_the_fields(self, certs):
+        for cert in certs.values():
+            doc = cert.to_doc()
+            assert set(doc) == {f.name for f in fields(cert)} | {"schema"}
+            assert doc["schema"] == "gapforge-certificate/1"
+            for verdict, vdoc in zip(cert.layers, doc["layers"], strict=True):
+                assert set(vdoc) == {f.name for f in fields(verdict)}
+                assert vdoc["worst_output_mean"] == (
+                    f"{verdict.worst_output_mean.numerator}/"
+                    f"{verdict.worst_output_mean.denominator}"
+                )
+
+    def test_from_doc_inverts_to_doc(self, certs):
+        for cert in certs.values():
+            assert GoodnessCertificate.from_doc(cert.to_doc()) == cert
+            text = json.dumps(cert.to_doc())
+            assert GoodnessCertificate.from_doc(json.loads(text)) == cert
+
+    def test_malformed_docs_are_parse_errors(self, certs):
+        doc = certs["det-pass"].to_doc()
+        layer = dict(doc["layers"][0])
+        del layer["witness"]
+        cases = [
+            ([doc], "GoodnessCertificate: expected an object, got list"),
+            ({k: v for k, v in doc.items() if k != "circuit_digest"},
+             "GoodnessCertificate: missing key 'circuit_digest'"),
+            ({**doc, "mean_in": "3/0"}, "GoodnessCertificate.mean_in: zero denominator"),
+            ({**doc, "mean_out": None}, "GoodnessCertificate.mean_out: "),
+            ({**doc, "layers": [layer]}, "LayerVerdict: missing key 'witness'"),
+            ({**doc, "layers": ["x"]}, "LayerVerdict: expected an object, got str"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ParseError) as info:
+                GoodnessCertificate.from_doc(bad)
+            assert str(info.value).startswith(message)
 
 
 class TestRandomizedCompleteness:

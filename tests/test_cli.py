@@ -123,6 +123,62 @@ class TestCertifyCommand:
         assert any("passed" in r for r in doc["sampler_reports"])
 
 
+class TestCertificateFile:
+    @pytest.fixture
+    def issued(self, toy_cnf, tmp_path):
+        """The transform --certify report at seed 3, and the certificate
+        certify --out-cert wrote for the circuit that transform wrote."""
+        report, circ, cert = (tmp_path / n for n in ("t.json", "c.rcirc", "cert.json"))
+        assert run([
+            "transform", "--input", toy_cnf, "--certify", "--seed", "3",
+            "--out-circuit", str(circ), "--report", str(report),
+        ]) == 0
+        assert run([
+            "certify", "--circuit", str(circ), "--seed", "3", "--out-cert", str(cert),
+            "--report", str(tmp_path / "certify.json"),
+        ]) == 0
+        return report.read_bytes(), json.loads(cert.read_text())
+
+    def _transform(self, toy_cnf, tmp_path, cert_text, seed="3"):
+        path = tmp_path / "given.json"
+        path.write_text(cert_text)
+        report = tmp_path / "given-report.json"
+        code = run([
+            "transform", "--input", toy_cnf, "--cert", str(path), "--seed", seed,
+            "--report", str(report),
+        ])
+        return code, report
+
+    def test_round_trip_reproduces_the_certify_report(self, toy_cnf, tmp_path, issued):
+        certified, doc = issued
+        code, report = self._transform(toy_cnf, tmp_path, json.dumps(doc))
+        assert code == 0 and report.read_bytes() == certified
+
+    def test_other_circuit_refused(self, toy_cnf, tmp_path, issued, capsys):
+        code, report = self._transform(toy_cnf, tmp_path, json.dumps(issued[1]), seed="4")
+        assert code == 2 and not report.exists()
+        assert "different circuit" in capsys.readouterr().err
+
+    def test_failing_certificate_refused(self, toy_cnf, tmp_path, issued, capsys):
+        doc = {**issued[1], "passed": False}
+        code, report = self._transform(toy_cnf, tmp_path, json.dumps(doc))
+        assert code == 2 and not report.exists()
+        assert "verdict is fail" in capsys.readouterr().err
+
+    def test_malformed_file_is_a_parse_error(self, toy_cnf, tmp_path, issued, capsys):
+        doc = issued[1]
+        no_digest = {k: v for k, v in doc.items() if k != "circuit_digest"}
+        for text in (
+            "not json",
+            json.dumps(no_digest),
+            json.dumps({**doc, "mean_in": "3/0"}),
+            json.dumps([doc]),
+        ):
+            code, report = self._transform(toy_cnf, tmp_path, text)
+            assert code == 2 and not report.exists()
+            assert "parse error" in capsys.readouterr().err
+
+
 class TestOracleCommand:
     def test_report(self, no48_cnf, tmp_path):
         report = tmp_path / "o.json"
@@ -221,6 +277,25 @@ class TestGapReduceCommand:
             ] + ["--dry-run"] * dry_run)
             assert code == 2 and not report.exists()
             assert "needs variables and clauses" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_one_sided_names_a_short_list(self, tmp_path, dry_run, capsys):
+        # the list has t * m positions and the family needs at least 4
+        bases = {
+            ("p cnf 3 0\n", "32"): "0 positions (t * m): the base has no clauses",
+            ("p cnf 3 1\n1 2 0\n", "2"): "2 positions (t * m): its family needs at least 4",
+        }
+        for (text, t), message in bases.items():
+            path = tmp_path / "short.cnf"
+            path.write_text(text)
+            report = tmp_path / "g.json"
+            code = run([
+                "gap-reduce", "--input", str(path), "--t", t, "--seed", "0",
+                "--report", str(report),
+            ] + ["--dry-run"] * dry_run)
+            assert code == 2 and not report.exists()
+            assert message in capsys.readouterr().err
 
 
 class TestDeterminism:
