@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GapforgeError, InfeasibleParametersError, ParseError
-from .oracle import estimate
 from .sampler import (
     build_expander,
     second_eigenvalue,
@@ -55,6 +54,7 @@ CERT_TRIALS = 64  # certify_goodness's seeded strings per statistical layer
 FAN_IN_CAP = 64  # largest fan-in auto_fan_in tries
 PROBE_SEEDS = 48  # wirings auto_fan_in draws to estimate the seed-failure rate
 TARGET_LAMBDA = 0.97  # largest normalized lambda a deterministic sampler layer may have
+CERTIFICATE_SCHEMA = "gapforge-certificate/1"
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,9 @@ class RobustCircuit:
     layers[i - 1] wires layer i: a read-only (gates, fan_in) int64 array whose
     row g holds gate g's sorted input positions in layer i - 1, multiset
     repeats kept. Every gate fires when the mean of its inputs is at least
-    the circuit's theta; nothing else sets a threshold.
+    the circuit's theta; nothing else sets a threshold. Construction raises
+    GapforgeError unless there are depth layers, layer i has width_at(m, i)
+    gates, and every input lies in [0, width_in(i)).
     """
 
     m: int
@@ -140,6 +142,21 @@ class RobustCircuit:
         )
         if any(idx.ndim != 2 or idx.shape[1] == 0 for idx in self.layers):
             raise GapforgeError("a layer needs gates with at least one input")
+        if len(self.layers) != self.depth:
+            raise GapforgeError(
+                f"a circuit of depth {self.depth} has {len(self.layers)} layers"
+            )
+        for layer, idx in enumerate(self.layers, start=1):
+            w, w_in = width_at(self.m, layer), self.width_in(layer)
+            if idx.shape[0] != w:
+                raise GapforgeError(
+                    f"layer {layer} has {idx.shape[0]} gates, not {w}"
+                )
+            # rows are sorted: their first and last columns bound every input
+            if idx[:, 0].min() < 0 or idx[:, -1].max() >= w_in:
+                raise GapforgeError(
+                    f"layer {layer}: gate input outside previous layer of width {w_in}"
+                )
 
     def __eq__(self, other):
         if not isinstance(other, RobustCircuit):
@@ -201,10 +218,11 @@ def worst_case_degree(width: int, scheme: ThresholdScheme) -> int:
     <= mean_in input nor die on any >= completeness input of this width."""
     max_ones = floor_frac(scheme.mean_in * width)
     zero_budget = floor_frac((1 - scheme.completeness) * width)
+    num, den = scheme.theta.numerator, scheme.theta.denominator
     for D in range(3, width):
         if (width * D) % 2:
             continue
-        fire = threshold_count(scheme.theta, D)
+        fire = -(-num * D // den)  # threshold_count(theta, D) in integers
         if min(D, max_ones) < fire and D - fire >= zero_budget:
             return D
     raise InfeasibleParametersError(
@@ -354,10 +372,15 @@ class GoodnessCertificate(Report):
     passed: bool
 
     def to_doc(self) -> dict:
-        return {"schema": "gapforge-certificate/1", **super().to_doc()}
+        return {"schema": CERTIFICATE_SCHEMA, **super().to_doc()}
 
     @staticmethod
     def from_doc(doc) -> "GoodnessCertificate":
+        if isinstance(doc, dict) and doc.get("schema") != CERTIFICATE_SCHEMA:
+            raise ParseError(
+                f"GoodnessCertificate: schema {doc.get('schema')!r} is not "
+                f"{CERTIFICATE_SCHEMA!r}"
+            )
         return report_from_doc(GoodnessCertificate, doc, layers=LayerVerdict)
 
 
@@ -535,23 +558,27 @@ def auto_fan_in(
     """The circuit build_randomized(m, f, master_seed, scheme) at the smallest
     fan-in f <= FAN_IN_CAP that certifies, with its passing certificate.
 
-    A fan-in certifies when the damping verdicts pass on that very circuit
-    (certify_goodness at exhaustive_cap, trials and master_seed) and the
-    empirical seed-failure rate of honest completeness over other wirings
-    stays within the 1/m^(1/4) budget."""
+    A fan-in certifies when the empirical seed-failure rate of honest
+    completeness over PROBE_SEEDS other wirings stays within the 1/m^(1/4)
+    budget, and the damping verdicts pass on that very circuit
+    (certify_goodness at exhaustive_cap, trials and master_seed). The probe
+    runs first and stops as soon as its failures exceed the budget; only a
+    fan-in that passes it is built and certified. Both checks are
+    deterministic, so the order does not change which fan-in is returned."""
     target = 1.0 / (m ** 0.25)
     for f in range(2, FAN_IN_CAP + 1):
-        c = build_randomized(m, f, master_seed, scheme)
-        cert = certify_goodness(c, exhaustive_cap, trials, seed=master_seed)
-        if not cert.passed:
-            continue
-        rate = estimate(
-            seed_failure_event(m, f, scheme),
-            trials=PROBE_SEEDS,
-            master_seed=derive_seed(master_seed, f, 2),
-        )
-        if float(rate.frequency) <= target:
-            return c, cert
+        event = seed_failure_event(m, f, scheme)
+        probe_seed = derive_seed(master_seed, f, 2)
+        failures = 0
+        for i in range(PROBE_SEEDS):
+            failures += event(derive_seed(probe_seed, i))
+            if float(Fraction(failures, PROBE_SEEDS)) > target:
+                break
+        else:
+            c = build_randomized(m, f, master_seed, scheme)
+            cert = certify_goodness(c, exhaustive_cap, trials, seed=master_seed)
+            if cert.passed:
+                return c, cert
     raise InfeasibleParametersError(
         f"no fan-in <= {FAN_IN_CAP} passes certification at m={m}"
     )
@@ -577,8 +604,11 @@ def serialize_circuit(c: RobustCircuit) -> str:
         s = c.scheme
         header = f"rcirc/2 {fields} {frac_str(s.completeness)} {frac_str(s.soundness)}"
     lines = [header]
-    for idx in c.layers:
-        lines.extend(" ".join(map(str, row)) for row in idx.tolist())
+    for layer, idx in enumerate(c.layers, start=1):
+        # every input lies in [0, width_in), checked at construction; rows
+        # are converted one at a time to keep the peak of a wide layer low
+        name = [str(i) for i in range(c.width_in(layer))].__getitem__
+        lines.extend(" ".join(map(name, row.tolist())) for row in idx)
     return "\n".join(lines) + "\n"
 
 
@@ -614,11 +644,16 @@ def _scan_gate_lines(lines: list[str], first: int, w: int, w_in: int) -> list:
 def _gate_rows(lines: list[str], first: int, w: int, w_in: int) -> np.ndarray:
     """Gate lines first..first + w - 1 as one (w, fan_in) int64 array.
 
-    numpy reads each token with int(), so a bad token or ragged rows fail
-    the conversion; only then are the lines scanned one at a time to find
-    the first faulty one and its message."""
+    np.loadtxt reads the block in bulk. It accepts no token that int()
+    refuses, and reads every token it accepts to int()'s value. A token it
+    refuses (some that int() reads among them, such as "1_0" or "٣"), a
+    value beyond int64 or ragged rows fail the read; only then are the
+    lines scanned one at a time with int(), which finds the first faulty
+    line and its message."""
     try:
-        rows = np.array([ln.split() for ln in lines[first : first + w]], dtype=np.int64)
+        rows = np.loadtxt(
+            lines[first : first + w], dtype=np.int64, comments=None, ndmin=2
+        )
     except (ValueError, OverflowError):
         return np.array(_scan_gate_lines(lines, first, w, w_in), dtype=np.int64)
     outside = ((rows < 0) | (rows >= w_in)).any(axis=1)

@@ -92,11 +92,17 @@ class Report:
         return {f.name: _doc_value(getattr(self, f.name)) for f in fields(self)}
 
 
+_SCALARS = {"bool": bool, "int": int, "str": str}
+
+
 def report_from_doc(cls, doc, **nested):
-    """The inverse of cls.to_doc(): nested maps a field to the report class
-    of its value (a list of docs becomes a tuple). Fraction fields are told
-    by their annotations. ParseError on a non-object, a missing key or a
-    malformed fraction; keys that are not fields are ignored."""
+    """The inverse of cls.to_doc(): nested maps a tuple field to the report
+    class of its items (a list of docs becomes a tuple). Fields are checked
+    against their annotations: a Fraction is read from "n/d", and a bool,
+    int or str must have exactly that JSON type (true is not an int), or be
+    null where the annotation allows None; any other value is taken as it
+    is. ParseError on a non-object, a missing key or a value of the wrong
+    type; keys that are not fields are ignored."""
     if not isinstance(doc, dict):
         raise ParseError(f"{cls.__name__}: expected an object, got {type(doc).__name__}")
     values = {}
@@ -104,17 +110,27 @@ def report_from_doc(cls, doc, **nested):
         if f.name not in doc:
             raise ParseError(f"{cls.__name__}: missing key {f.name!r}")
         value = doc[f.name]
+        kinds = [k.strip() for k in str(f.type).split("|")]
         if f.name in nested:
-            sub = nested[f.name]
-            if isinstance(value, list):
-                value = tuple(report_from_doc(sub, d) for d in value)
-            else:
-                value = report_from_doc(sub, value)
-        elif "Fraction" in str(f.type) and not (value is None and "None" in str(f.type)):
+            if not isinstance(value, list):
+                raise ParseError(
+                    f"{cls.__name__}.{f.name}: expected a list, got {type(value).__name__}"
+                )
+            value = tuple(report_from_doc(nested[f.name], d) for d in value)
+        elif value is None and "None" in kinds:
+            pass
+        elif "Fraction" in kinds:
             try:
                 value = parse_frac(value)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{cls.__name__}.{f.name}: {exc}") from None
+        else:
+            want = [_SCALARS[k] for k in kinds if k in _SCALARS]
+            if want and type(value) not in want:
+                raise ParseError(
+                    f"{cls.__name__}.{f.name}: expected {' or '.join(kinds)}, "
+                    f"got {type(value).__name__}"
+                )
         values[f.name] = value
     return cls(**values)
 

@@ -81,6 +81,25 @@ class TestDeterministicBuild:
             assert min(D, (7 * w) // 10) < fire
             assert D - fire >= w // 10
 
+    def test_worst_case_degree_matches_fraction_form(self):
+        def reference(width, scheme, fire):
+            max_ones = floor_frac(scheme.mean_in * width)
+            zero_budget = floor_frac((1 - scheme.completeness) * width)
+            for D in range(3, width):
+                if (width * D) % 2 == 0 and min(D, max_ones) < fire[D] <= D - zero_budget:
+                    return D
+            return None
+
+        for scheme in (DEFAULT_SCHEME, ThresholdScheme(Fraction(4, 5), Fraction(1, 2))):
+            fire = [threshold_count(scheme.theta, D) for D in range(1025)]
+            for w in range(9, 1025):
+                want = reference(w, scheme, fire)
+                if want is None:
+                    with pytest.raises(InfeasibleParametersError):
+                        worst_case_degree(w, scheme)
+                else:
+                    assert worst_case_degree(w, scheme) == want
+
     def test_wiring_metadata(self):
         c = build_deterministic(32, seed=2)
         kinds = [m.kind for m in c.layer_meta]
@@ -184,6 +203,31 @@ class TestEvaluate:
         c = build_deterministic(8, seed=0)
         with pytest.raises(GapforgeError):
             evaluate(c, [1] * 7)
+
+
+class TestConstructionChecks:
+    def test_inputs_outside_the_previous_layer_refused(self):
+        ok = [[(0, 1, 2, 3)] * 4, [(0, 1, 2, 3)] * 2, [(0, 1)]]
+        _custom_circuit(ok, 8)
+        for layer, row, w_in in (
+            (1, (0, 1, 2, 8), 8),
+            (1, (-1, 0, 1, 2), 8),
+            (2, (0, 1, 2, 4), 4),
+            (3, (-1, 0), 2),
+        ):
+            layers = [list(gates) for gates in ok]
+            layers[layer - 1][-1] = row
+            with pytest.raises(
+                GapforgeError,
+                match=f"layer {layer}: gate input outside previous layer of width {w_in}",
+            ):
+                _custom_circuit(layers, 8)
+
+    def test_gate_count_and_depth_must_match_the_widths(self):
+        with pytest.raises(GapforgeError, match="layer 2 has 3 gates, not 2"):
+            _custom_circuit([[(0, 1, 2, 3)] * 4, [(0, 1)] * 3, [(0, 1)]], 8)
+        with pytest.raises(GapforgeError, match="depth 2 has 3 layers"):
+            replace(build_deterministic(8, seed=0), depth=2)
 
 
 def _custom_circuit(layers, m, theta=Fraction(4, 5)):
@@ -319,6 +363,25 @@ class TestGoodness:
             assert rep.worst_output_count == verdict.worst_output_count
 
 
+def reference_auto_fan_in(m, master_seed, scheme=DEFAULT_SCHEME):
+    """auto_fan_in in its former order: certify every fan-in, and estimate
+    the seed-failure rate over all PROBE_SEEDS wirings of each that passes."""
+    target = 1.0 / (m ** 0.25)
+    for f in range(2, circuit_mod.FAN_IN_CAP + 1):
+        c = build_randomized(m, f, master_seed, scheme)
+        cert = certify_goodness(c, seed=master_seed)
+        if not cert.passed:
+            continue
+        rate = estimate(
+            seed_failure_event(m, f, scheme),
+            trials=circuit_mod.PROBE_SEEDS,
+            master_seed=derive_seed(master_seed, f, 2),
+        )
+        if float(rate.frequency) <= target:
+            return c, cert
+    raise InfeasibleParametersError(f"no fan-in passes at m={m}")
+
+
 class TestAutoFanIn:
     @pytest.mark.parametrize("seed", [0, 6])
     def test_ships_the_circuit_it_certified(self, seed):
@@ -328,6 +391,27 @@ class TestAutoFanIn:
         assert c == build_randomized(256, c.fan_in, seed)
         assert cert == certify_goodness(c, exhaustive_cap=16, trials=40, seed=seed)
         assert (cert.exhaustive_cap, cert.trials, cert.seed) == (16, 40, seed)
+
+    @pytest.mark.parametrize("m", [64, 1024])
+    def test_probe_first_picks_what_certify_first_picked(self, m):
+        for seed in range(3):
+            c, cert = auto_fan_in(m, seed)
+            ref_c, ref_cert = reference_auto_fan_in(m, seed)
+            assert c.fan_in == ref_c.fan_in
+            assert circuit_digest(c) == circuit_digest(ref_c)
+            assert cert.to_doc() == ref_cert.to_doc()
+
+    def test_certifies_only_fan_ins_that_pass_the_probe(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].fan_in)
+            return certify_goodness(*args, **kwargs)
+
+        monkeypatch.setattr(circuit_mod, "certify_goodness", counting)
+        c, cert = auto_fan_in(1024, 0)
+        assert cert.passed and calls[-1] == c.fan_in == 15
+        assert len(calls) <= 2
 
 
 class TestCertificateCodec:
@@ -376,6 +460,22 @@ class TestCertificateCodec:
             ({**doc, "mean_out": None}, "GoodnessCertificate.mean_out: "),
             ({**doc, "layers": [layer]}, "LayerVerdict: missing key 'witness'"),
             ({**doc, "layers": ["x"]}, "LayerVerdict: expected an object, got str"),
+            ({**doc, "layers": doc["layers"][0]},
+             "GoodnessCertificate.layers: expected a list, got dict"),
+            ({**doc, "passed": "false"},
+             "GoodnessCertificate.passed: expected bool, got str"),
+            ({**doc, "passed": 1}, "GoodnessCertificate.passed: expected bool, got int"),
+            ({**doc, "trials": True}, "GoodnessCertificate.trials: expected int, got bool"),
+            ({**doc, "seed": "0"}, "GoodnessCertificate.seed: expected int, got str"),
+            ({**doc, "circuit_digest": None},
+             "GoodnessCertificate.circuit_digest: expected str, got NoneType"),
+            ({**doc, "layers": [{**doc["layers"][0], "witness": 5}]},
+             "LayerVerdict.witness: expected str or None, got int"),
+            ({**doc, "schema": "something-else/9"},
+             "GoodnessCertificate: schema 'something-else/9' is not "
+             "'gapforge-certificate/1'"),
+            ({k: v for k, v in doc.items() if k != "schema"},
+             "GoodnessCertificate: schema None is not 'gapforge-certificate/1'"),
         ]
         for bad, message in cases:
             with pytest.raises(ParseError) as info:
@@ -505,6 +605,47 @@ class TestSerialization:
         for token in ("+3", "٣", "-0", "00"):
             parsed = parse_circuit(with_lines(l1="0 1 2 3 4 5 6 " + token))
             assert parsed.layers[0].shape == (4, 8)
+
+    @pytest.mark.parametrize(
+        "block, w_in",
+        [
+            (["0 1 +3", "-0 1 2"], 8),
+            (["0 1 1_0", "0 1 2"], 16),
+            (["0 1 ٣", "0 1 2"], 8),
+            (["0 1 2", "0 1 1.0"], 8),
+            (["0 1 2", "0 1 1e3"], 8),
+            (["0 1 0x1", "0 1 2"], 8),
+            (["0 1 2", "0 1 #"], 8),
+            (["0 1 2", "1 2 # 3"], 8),
+            (["0 1 2", "0 1 99999999999999999999"], 8),
+            (["0\t1\t2", "0 \t 1  2"], 8),
+            (["0     1 2", "3  4    5"], 8),
+            (["0 1 2", "3", "4 5"], 8),  # six tokens, as in 3 gates of fan-in 2
+            (["0 1", "2 3 4", "5", "6 7"], 8),  # eight tokens, as in 4 gates of fan-in 2
+            (["0 1 2", "0 1 9"], 8),
+            (["0 -1 2", "0 1 2"], 8),
+            (["0 1 2", "0 1 9", "0 y"], 8),
+        ],
+    )
+    def test_bulk_reader_matches_the_scanner(self, block, w_in):
+        lines = ["rcirc"] + block
+
+        def outcome(read):
+            try:
+                return np.asarray(read(lines, 1, len(block), w_in), dtype=np.int64).tolist()
+            except ParseError as exc:
+                return exc.line, str(exc)
+
+        assert outcome(circuit_mod._gate_rows) == outcome(circuit_mod._scan_gate_lines)
+
+    def test_bulk_reader_reads_written_text_without_the_scanner(self, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(
+            circuit_mod, "_scan_gate_lines", lambda *args: scanned.append(args)
+        )
+        for c in (build_deterministic(256, seed=1), build_randomized(256, f=9, seed=1)):
+            assert parse_circuit(serialize_circuit(c)) == c
+        assert scanned == []
 
     def test_rcirc2_round_trip_keeps_scheme(self):
         scheme = ThresholdScheme(Fraction(4, 5), Fraction(1, 2))

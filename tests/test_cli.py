@@ -178,6 +178,25 @@ class TestCertificateFile:
             assert code == 2 and not report.exists()
             assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {**doc, "passed": "false"},
+             "GoodnessCertificate.passed: expected bool, got str"),
+            (lambda doc: {**doc, "schema": "something-else/9"},
+             "GoodnessCertificate: schema 'something-else/9' is not"),
+            (lambda doc: {**doc, "layers": doc["layers"][0]},
+             "GoodnessCertificate.layers: expected a list, got dict"),
+        ],
+        ids=["passed-as-string", "foreign-schema", "layers-as-object"],
+    )
+    def test_mistyped_certificate_is_a_parse_error(
+        self, toy_cnf, tmp_path, issued, capsys, edit, message
+    ):
+        code, report = self._transform(toy_cnf, tmp_path, json.dumps(edit(issued[1])))
+        assert code == 2 and not report.exists()
+        assert message in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_report(self, no48_cnf, tmp_path):
