@@ -62,7 +62,6 @@ from .transform import (
     transform,
 )
 from .gapeth import (
-    ClauseList,
     ReductionParams,
     check_balanced,
     reduce_one_sided,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import GapforgeError, InfeasibleParametersError, ParseError
 from .sampler import (
+    TARGET_LAMBDA,
     build_expander,
     second_eigenvalue,
     swap_climb,
@@ -53,7 +54,6 @@ EXHAUSTIVE_CAP = 18
 CERT_TRIALS = 64  # certify_goodness's seeded strings per statistical layer
 FAN_IN_CAP = 64  # largest fan-in auto_fan_in tries
 PROBE_SEEDS = 48  # wirings auto_fan_in draws to estimate the seed-failure rate
-TARGET_LAMBDA = 0.97  # largest normalized lambda a deterministic sampler layer may have
 CERTIFICATE_SCHEMA = "gapforge-certificate/1"
 
 
@@ -119,33 +119,28 @@ class RobustCircuit:
     row g holds gate g's sorted input positions in layer i - 1, multiset
     repeats kept. Every gate fires when the mean of its inputs is at least
     the circuit's theta; nothing else sets a threshold. Construction raises
-    GapforgeError unless there are depth layers, layer i has width_at(m, i)
-    gates, and every input lies in [0, width_in(i)).
+    GapforgeError unless m >= 1, there is at least one layer, layer i has
+    width_at(m, i) gates, and every input lies in [0, width_in(i)).
     """
 
     m: int
-    depth: int
     theta: Fraction
     variant: str  # "deterministic" | "randomized"
     layers: tuple[np.ndarray, ...]
     scheme: ThresholdScheme | None = None
-    fan_in: int | None = None
-    seed: int | None = None
     layer_meta: tuple[LayerWiring, ...] = ()
 
     def __post_init__(self):
         if not (0 < self.theta < 1):
             raise GapforgeError("theta must lie in (0, 1)")
+        if self.m < 1 or not self.layers:
+            raise GapforgeError("a circuit needs at least one input and one layer")
         self.layers = tuple(
             sorted_rows(rows, "gates in one layer differ in fan-in")
             for rows in self.layers
         )
         if any(idx.ndim != 2 or idx.shape[1] == 0 for idx in self.layers):
             raise GapforgeError("a layer needs gates with at least one input")
-        if len(self.layers) != self.depth:
-            raise GapforgeError(
-                f"a circuit of depth {self.depth} has {len(self.layers)} layers"
-            )
         for layer, idx in enumerate(self.layers, start=1):
             w, w_in = width_at(self.m, layer), self.width_in(layer)
             if idx.shape[0] != w:
@@ -163,13 +158,23 @@ class RobustCircuit:
             return NotImplemented
         return (
             self.m == other.m
-            and self.depth == other.depth
             and self.theta == other.theta
             and self.variant == other.variant
             and self.scheme == other.scheme
             and len(self.layers) == len(other.layers)
             and all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
         )
+
+    @property
+    def depth(self) -> int:
+        return len(self.layers)
+
+    @property
+    def fan_in(self) -> int | None:
+        """The one gate width of a randomized circuit; None for a
+        deterministic circuit, or for layers that differ in fan-in."""
+        sizes = {idx.shape[1] for idx in self.layers}
+        return sizes.pop() if self.variant == "randomized" and len(sizes) == 1 else None
 
     def widths(self) -> list[int]:
         """Gate counts of layers 1..depth (layer 0 is the m inputs)."""
@@ -275,12 +280,10 @@ def build_deterministic(
             meta.append(LayerWiring(kind="sampler", degree=D, lambda_bound=lam))
     return RobustCircuit(
         m=m,
-        depth=depth,
         theta=scheme.theta,
         variant="deterministic",
         layers=tuple(layers),
         scheme=scheme,
-        seed=seed,
         layer_meta=tuple(meta),
     )
 
@@ -307,13 +310,10 @@ def build_randomized(
         meta.append(LayerWiring(kind="random"))
     return RobustCircuit(
         m=m,
-        depth=depth,
         theta=scheme.theta,
         variant="randomized",
         layers=tuple(layers),
         scheme=scheme,
-        fan_in=f,
-        seed=seed,
         layer_meta=tuple(meta),
     )
 
@@ -685,6 +685,8 @@ def parse_circuit(text: str) -> RobustCircuit:
             scheme = _v1_scheme(theta)
     except ValueError:
         raise ParseError("malformed rcirc header", 1) from None
+    if m < 1 or depth < 1:
+        raise ParseError("malformed rcirc header", 1)
     widths = [width_at(m, i) for i in range(1, depth + 1)]
     if len(lines) - 1 != sum(widths):
         raise ParseError(
@@ -695,20 +697,12 @@ def parse_circuit(text: str) -> RobustCircuit:
     for layer_idx, w in enumerate(widths, start=1):
         layers.append(_gate_rows(lines, first, w, width_at(m, layer_idx - 1)))
         first += w
-    variant = toks[3]
-    fan_in = None
-    if variant == "randomized" and layers:
-        sizes = {idx.shape[1] for idx in layers}
-        if len(sizes) == 1:
-            fan_in = sizes.pop()
     return RobustCircuit(
         m=m,
-        depth=depth,
         theta=theta,
-        variant=variant,
+        variant=toks[3],
         layers=tuple(layers),
         scheme=scheme,
-        fan_in=fan_in,
         layer_meta=tuple(
             LayerWiring(kind="parsed") for _ in layers
         ),

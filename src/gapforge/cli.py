@@ -252,7 +252,7 @@ def cmd_gap_reduce(args) -> int:
     elif args.mode == "two-sided":
         doc["dry_run"] = gapeth.reduce_two_sided(base, p)[1].to_doc()
     else:
-        balance = gapeth.check_balanced(gapeth.sample_list(base, p), p)
+        balance = gapeth.check_balanced(gapeth.sample_list(base, p), base.num_clauses, p)
         d, p_est, lll_value, lll_ok = gapeth._lll_numbers(p, fam)
         doc["dry_run"] = {
             "balance": balance.to_doc(),

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .oracle import _packed_tables, _table_index, chernoff_tail, lll_condition
 from .sampler import (
+    TARGET_LAMBDA,
     SamplerFamily,
     SamplerParams,
     build_full_family,
@@ -82,36 +83,16 @@ class ReductionParams:
         return self.k_condition_value <= Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class ClauseList:
-    """Multiset of base-clause indices of length t * m."""
-
-    entries: tuple
-    base_clauses: int
-    t: int
-
-    def __post_init__(self):
-        if len(self.entries) != self.t * self.base_clauses:
-            raise GapforgeError("list length must be t * m")
-        if self.entries and (min(self.entries) < 0 or max(self.entries) >= self.base_clauses):
-            raise GapforgeError("list entry out of clause range")
-
-    def occurrence_counts(self) -> np.ndarray:
-        return np.bincount(
-            np.asarray(self.entries, dtype=np.int64), minlength=self.base_clauses
-        )
-
-
 def _list_draw(seed: int, m: int, L: int) -> np.ndarray:
     """The L base-clause indices of the one-sided list drawn at seed."""
     return rng_from(derive_seed(seed, 0x1157)).integers(0, m, size=L)
 
 
-def sample_list(base: CspInstance, p: ReductionParams) -> ClauseList:
-    """Seeded sampling with repetition; deterministic for a fixed seed."""
+def sample_list(base: CspInstance, p: ReductionParams) -> np.ndarray:
+    """The t * m base-clause indices of the list, an int64 array, sampled
+    with repetition; deterministic for a fixed seed."""
     m = base.num_clauses
-    entries = tuple(_list_draw(p.seed, m, p.t * m).tolist())
-    return ClauseList(entries=entries, base_clauses=m, t=p.t)
+    return _list_draw(p.seed, m, p.t * m)
 
 
 @dataclass(frozen=True)
@@ -151,6 +132,12 @@ class _BalanceCutoffs:
     light_min: int
     floored: bool
 
+    def verdict(self, counts: np.ndarray) -> tuple[int, int, bool, bool]:
+        """(heavy_sum, light_sum, heavy_ok, light_ok) of the occurrence counts:
+        the list is balanced iff both flags hold."""
+        heavy_sum, light_sum = _extremal_sums(counts, self.heavy_size, self.light_size)
+        return heavy_sum, light_sum, heavy_sum <= self.heavy_max, light_sum >= self.light_min
+
 
 def _balance_cutoffs(p: ReductionParams, m: int, L: int) -> _BalanceCutoffs:
     """The heaviest size-(s*m) subset may hold at most s(1+eps/3) of the
@@ -173,14 +160,11 @@ def _balance_cutoffs(p: ReductionParams, m: int, L: int) -> _BalanceCutoffs:
     )
 
 
-def check_balanced(lst: ClauseList, p: ReductionParams) -> BalanceReport:
-    """Exact extremal-subset check via sorted occurrence counts, against the
-    cut-offs of _balance_cutoffs."""
-    cut = _balance_cutoffs(p, lst.base_clauses, len(lst.entries))
-    counts = lst.occurrence_counts()
-    heavy_sum, light_sum = _extremal_sums(counts, cut.heavy_size, cut.light_size)
-    heavy_ok = heavy_sum <= cut.heavy_max
-    light_ok = light_sum >= cut.light_min
+def check_balanced(entries: np.ndarray, m: int, p: ReductionParams) -> BalanceReport:
+    """Exact extremal-subset check of the list entries over m base clauses,
+    via sorted occurrence counts, against the cut-offs of _balance_cutoffs."""
+    cut = _balance_cutoffs(p, m, entries.size)
+    heavy_sum, light_sum, heavy_ok, light_ok = cut.verdict(np.bincount(entries, minlength=m))
     return BalanceReport(
         balanced=heavy_ok and light_ok,
         heavy_ok=heavy_ok,
@@ -397,7 +381,7 @@ def reduction_family_params(p: ReductionParams) -> SamplerParams:
             "increase k"
         )
     eps = p.s * p.epsilon
-    target = min(0.97, 2.0 * float(eps) * float(delta) ** 0.5)
+    target = min(TARGET_LAMBDA, 2.0 * float(eps) * float(delta) ** 0.5)
     return SamplerParams(
         epsilon=eps, delta=delta, gamma=Fraction(1, 2), target_lambda=target
     )
@@ -431,14 +415,8 @@ def _validate_family(fam: SamplerFamily, p: ReductionParams, list_length: int):
 
 @dataclass(frozen=True)
 class OneSidedReport:
-    seed: int
     balance: BalanceReport
     rejected_unbalanced: bool
-    list_length: int
-    set_size: int
-    threshold: Fraction
-    k_condition_value: Fraction
-    k_condition_ok: bool
     intersection_degree: int
     per_clause_failure_estimate: float
     lll_value: float
@@ -462,20 +440,14 @@ def reduce_one_sided(
     """Balanced-list reduction. Unbalanced lists are rejected in favor of the
     canonical NO instance (flagged in the report), so NO inputs can never
     produce an instance with optimum above 1/2."""
-    lst = sample_list(base, p)
-    L = len(lst.entries)
+    entries = sample_list(base, p)
+    L = entries.size
     _validate_family(fam, p, L)
-    balance = check_balanced(lst, p)
+    balance = check_balanced(entries, base.num_clauses, p)
     d, p_est, lll_value, lll_ok = _lll_numbers(p, fam)
     report = OneSidedReport(
-        seed=p.seed,
         balance=balance,
         rejected_unbalanced=not balance.balanced,
-        list_length=L,
-        set_size=fam.set_size,
-        threshold=p.threshold,
-        k_condition_value=p.k_condition_value,
-        k_condition_ok=p.k_condition_ok,
         intersection_degree=d,
         per_clause_failure_estimate=p_est,
         lll_value=lll_value,
@@ -484,7 +456,7 @@ def reduce_one_sided(
     if not balance.balanced:
         return canonical_no_instance(L), report
     thr_count = threshold_count(p.threshold, fam.set_size)
-    samples = np.asarray(lst.entries)[fam.sets]
+    samples = entries[fam.sets]
     return CspInstance(base.num_vars, _threshold_clauses(base, samples, thr_count)), report
 
 
@@ -528,6 +500,8 @@ def solve_driver(
         raise ValueError(f"unknown reduction {reduction!r}")
     if reduction == "one-sided" and fam is None:
         raise GapforgeError("the one-sided reduction needs a sampler family")
+    if trials < 0:
+        raise GapforgeError(f"trial count must not be negative, got {trials}")
     outcomes = []
     for trial in range(trials):
         p_t = replace(p, seed=derive_seed(p.seed, trial))
@@ -540,7 +514,9 @@ def solve_driver(
         try:
             verdict = subroutine(inst)
         except Exception as exc:
-            raise GapforgeError(f"subroutine failed on trial {trial}: {exc}") from exc
+            # a resource cap keeps its class, so the CLI exits 3 on it
+            kind = ResourceCapError if isinstance(exc, ResourceCapError) else GapforgeError
+            raise kind(f"subroutine failed on trial {trial}: {exc}") from exc
         if verdict:
             outcomes.append("Y")
             return DriverReport(
@@ -672,10 +648,8 @@ def one_sided_sweep(
     balanced_trials = 0
     for trial in range(trials):
         entries = _list_draw(derive_seed(p.seed, trial), m, L_len)
-        heavy_sum, light_sum = _extremal_sums(
-            np.bincount(entries, minlength=m), cut.heavy_size, cut.light_size
-        )
-        balanced = heavy_sum <= cut.heavy_max and light_sum >= cut.light_min
+        _, _, heavy_ok, light_ok = cut.verdict(np.bincount(entries, minlength=m))
+        balanced = heavy_ok and light_ok
         balanced_trials += balanced
         if balanced and not batch:
             np.add(entries.take(fam.sets, mode="clip", out=flat), row_off, out=flat)

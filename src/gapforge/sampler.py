@@ -39,6 +39,7 @@ _POWER_ITER_CAP = 5000
 EXPANDER_RESTARTS = 64  # seeded attempts build_expander makes per (N, D)
 _REPAIR_SWEEPS = 400  # swap-repair rounds per configuration-model draw
 SWAP_CANDIDATES = 24  # swaps swap_climb tries per round before it stops
+TARGET_LAMBDA = 0.97  # largest normalized second eigenvalue any family or layer may have
 
 
 @dataclass(frozen=True)
@@ -318,7 +319,7 @@ class SamplerParams:
     epsilon: Fraction
     delta: Fraction
     gamma: Fraction
-    target_lambda: float = 0.97
+    target_lambda: float = TARGET_LAMBDA
 
     def __post_init__(self):
         for name in ("epsilon", "delta", "gamma"):
@@ -329,39 +330,28 @@ class SamplerParams:
             raise ValueError("target_lambda must lie in (0, 1)")
 
 
-PROVENANCE_HALVED = "expander-derived"
-PROVENANCE_FULL = "expander-full"
-PROVENANCE_EXPLICIT = "explicit-list"
-
-
 @dataclass(frozen=True)
 class SamplerFamily:
     """A set family over [N]. sets is a read-only (num_sets, C) int64 array,
     one sorted row of distinct elements per set; __post_init__ builds it from
     any sequence of equal-length sets.
 
-    expander-derived families keep the neighbor sets of the first floor(N/2)
-    vertices of a verified expander; expander-full families keep all N (that
-    is what the one-sided reduction consumes); explicit-list families come
-    from family_from_sets and carry no graph.
+    Families built from an expander keep the neighbor sets of its first
+    floor(N/2) vertices (build_sampler_family) or of all N (build_full_family,
+    what the one-sided reduction consumes), with the graph's measured lambda
+    and degree; family_from_sets gives neither.
     """
 
     ground_size: int
     sets: np.ndarray
     params: SamplerParams
-    provenance: str
     measured_lambda: float | None = None
     degree: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         sets = sorted_rows(self.sets, "sets must share one cardinality")
         if sets.size == 0:  # no sets, or only empty ones: still two axes
             sets = sets.reshape(len(sets), 0)
-        if self.provenance == PROVENANCE_HALVED and len(sets) != self.ground_size // 2:
-            raise GapforgeError("halved family must hold floor(N/2) sets")
-        if self.provenance == PROVENANCE_FULL and len(sets) != self.ground_size:
-            raise GapforgeError("full family must hold N sets")
         if (sets[:, 1:] == sets[:, :-1]).any():
             raise GapforgeError("set with repeated elements")
         if sets.size and (sets[:, 0].min() < 0 or sets[:, -1].max() >= self.ground_size):
@@ -371,7 +361,7 @@ class SamplerFamily:
     def __eq__(self, other):
         if not isinstance(other, SamplerFamily):
             return NotImplemented
-        rest = ("ground_size", "params", "provenance", "measured_lambda", "degree", "seed")
+        rest = ("ground_size", "params", "measured_lambda", "degree")
         return np.array_equal(self.sets, other.sets) and all(
             getattr(self, f) == getattr(other, f) for f in rest
         )
@@ -401,31 +391,14 @@ class SamplerFamily:
         return degree
 
 
-def _family_from_graph(
-    graph: RegularGraph,
-    params: SamplerParams,
-    lam: float,
-    seed: int,
-    keep: int,
-    provenance: str,
-) -> SamplerFamily:
-    return SamplerFamily(
-        ground_size=graph.num_vertices,
-        sets=graph.adjacency[:keep],
-        params=params,
-        provenance=provenance,
-        measured_lambda=lam,
-        degree=graph.degree,
-        seed=seed,
-    )
-
-
 def _search_expander(
     params: SamplerParams,
     N: int,
     seed: int,
     degree_schedule: Sequence[int] | None,
 ) -> tuple[RegularGraph, float]:
+    if N < 4:
+        raise InfeasibleParametersError("ground set must have at least 4 points")
     schedule = [
         d
         for d in (degree_schedule or DEFAULT_DEGREE_SCHEDULE)
@@ -458,10 +431,8 @@ def build_sampler_family(
     degree_schedule: Sequence[int] | None = None,
 ) -> SamplerFamily:
     """Halved family: floor(N/2) neighbor sets of a verified expander."""
-    if N < 4:
-        raise InfeasibleParametersError("ground set must have at least 4 points")
     graph, lam = _search_expander(params, N, seed, degree_schedule)
-    return _family_from_graph(graph, params, lam, seed, N // 2, PROVENANCE_HALVED)
+    return SamplerFamily(N, graph.adjacency[: N // 2], params, lam, graph.degree)
 
 
 def build_full_family(
@@ -471,17 +442,15 @@ def build_full_family(
     degree_schedule: Sequence[int] | None = None,
 ) -> SamplerFamily:
     """Full family: all N neighbor sets (one per vertex)."""
-    if N < 4:
-        raise InfeasibleParametersError("ground set must have at least 4 points")
     graph, lam = _search_expander(params, N, seed, degree_schedule)
-    return _family_from_graph(graph, params, lam, seed, N, PROVENANCE_FULL)
+    return SamplerFamily(N, graph.adjacency, params, lam, graph.degree)
 
 
 def family_from_sets(
     ground_size: int, sets: Sequence[Sequence[int]] | np.ndarray, params: SamplerParams
 ) -> SamplerFamily:
     """Explicit-list family over [ground_size]: the rows of sets, sorted."""
-    return SamplerFamily(ground_size, sets, params, PROVENANCE_EXPLICIT)
+    return SamplerFamily(ground_size, sets, params)
 
 
 def intersection_degree(fam: SamplerFamily) -> int:

@@ -10,7 +10,7 @@ import pytest
 
 from gapforge.circuit import build_deterministic, certify_goodness
 from gapforge.csp import Clause, CspInstance, disjunction
-from gapforge.gapeth import ClauseList, ReductionParams, reduction_family
+from gapforge.gapeth import ReductionParams, reduction_family
 from gapforge.oracle import brute_force_opt
 from gapforge.util import derive_seed, rng_from
 
@@ -41,11 +41,11 @@ def unit_pair_instance(n: int, m: int, pair_vars: tuple = (0,)) -> CspInstance:
     return CspInstance(n, tuple(clauses))
 
 
-def list_instance(base: CspInstance, lst: ClauseList) -> CspInstance:
+def list_instance(base: CspInstance, entries: np.ndarray) -> CspInstance:
     """The CSP whose clause list is the sampled list (repeats kept)."""
     return CspInstance(
         base.num_vars,
-        tuple(base.clauses[j] for j in lst.entries),
+        tuple(base.clauses[j] for j in entries),
         base.width,
     )
 

@@ -292,10 +292,10 @@ def test_criterion_09_balanced_list_fidelity(red_params, no_bases, yes_bases):
         for b_idx, (base, rep) in enumerate(pool):
             for offset in range(3):
                 p = replace(red_params, seed=derive_seed(0xBA1, b_idx, offset))
-                lst = sample_list(base, p)
-                if not check_balanced(lst, p).balanced:
+                entries = sample_list(base, p)
+                if not check_balanced(entries, base.num_clauses, p).balanced:
                     continue
-                opt = brute_force_opt(list_instance(base, lst), cap=16).optimum
+                opt = brute_force_opt(list_instance(base, entries), cap=16).optimum
                 if which == "no":
                     assert opt <= soundness_cap
                 else:

@@ -226,16 +226,30 @@ class TestConstructionChecks:
     def test_gate_count_and_depth_must_match_the_widths(self):
         with pytest.raises(GapforgeError, match="layer 2 has 3 gates, not 2"):
             _custom_circuit([[(0, 1, 2, 3)] * 4, [(0, 1)] * 3, [(0, 1)]], 8)
-        with pytest.raises(GapforgeError, match="depth 2 has 3 layers"):
-            replace(build_deterministic(8, seed=0), depth=2)
+        # the depth is the layer count, so it cannot disagree with it
+        c = _custom_circuit([[(0, 1, 2, 3)] * 4, [(0, 1)] * 2], 8)
+        assert c.depth == 2 and c.widths() == [4, 2]
+
+    @pytest.mark.parametrize("m, layers", [(4, []), (0, [[(0,)]]), (-5, [[(0,)]])])
+    def test_circuit_without_inputs_or_layers_refused(self, m, layers):
+        with pytest.raises(GapforgeError, match="at least one input and one layer"):
+            _custom_circuit(layers, m)
+
+    def test_fan_in_is_the_one_gate_width_of_a_randomized_circuit(self):
+        uniform = [[(0, 1)] * 4, [(0, 1)] * 2, [(0, 1)]]
+        mixed = [[(0, 1, 2, 3)] * 4, [(0, 1)] * 2, [(0, 1)]]
+        assert _custom_circuit(uniform, 8, variant="randomized").fan_in == 2
+        assert _custom_circuit(uniform, 8).fan_in is None  # deterministic
+        c = _custom_circuit(mixed, 8, variant="randomized")
+        assert c.fan_in is None
+        assert parse_circuit(serialize_circuit(c)).fan_in is None
 
 
-def _custom_circuit(layers, m, theta=Fraction(4, 5)):
+def _custom_circuit(layers, m, theta=Fraction(4, 5), variant="deterministic"):
     return RobustCircuit(
         m=m,
-        depth=len(layers),
         theta=theta,
-        variant="deterministic",
+        variant=variant,
         layers=tuple(tuple(layer) for layer in layers),
         scheme=DEFAULT_SCHEME,
     )
@@ -303,7 +317,7 @@ class TestGoodness:
 
     def test_circuit_without_scheme_is_refused(self):
         bare = RobustCircuit(
-            m=4, depth=1, theta=Fraction(4, 5), variant="deterministic",
+            m=4, theta=Fraction(4, 5), variant="deterministic",
             layers=(((0, 1, 2, 3),) * 2,),
         )
         with pytest.raises(GapforgeError, match="no \\(c, s\\) scheme"):
@@ -674,7 +688,7 @@ class TestSerialization:
             assert parse_circuit(serialize_circuit(c)).scheme == DEFAULT_SCHEME
         # no scheme, another theta: nothing to carry, and nothing restored
         bare = RobustCircuit(
-            m=4, depth=1, theta=Fraction(1, 2), variant="deterministic",
+            m=4, theta=Fraction(1, 2), variant="deterministic",
             layers=(((0, 1, 2, 3),) * 2,),
         )
         assert serialize_circuit(bare).startswith("rcirc 4 1 deterministic 1/2\n")

@@ -122,6 +122,23 @@ class TestCertifyCommand:
         assert doc["certificate"]["passed"]
         assert any("passed" in r for r in doc["sampler_reports"])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "rcirc 4 0 deterministic 4/5\n",  # no layers, so no verdicts
+            "rcirc 0 2 deterministic 4/5\n0\n0\n",
+            "rcirc -5 1 deterministic 4/5\n0\n",
+        ],
+        ids=["depth-0", "m-0", "m-negative"],
+    )
+    def test_circuit_without_inputs_or_layers_refused(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.rcirc"
+        path.write_text(text)
+        report = tmp_path / "cert.json"
+        assert run(["certify", "--circuit", str(path), "--report", str(report)]) == 2
+        assert not report.exists()
+        assert "line 1: malformed rcirc header" in capsys.readouterr().err
+
 
 class TestCertificateFile:
     @pytest.fixture
@@ -316,6 +333,30 @@ class TestGapReduceCommand:
             assert code == 2 and not report.exists()
             assert message in capsys.readouterr().err
 
+    def test_resource_cap_inside_the_driver_exits_three(self, tmp_path, capsys):
+        # the two-sided output keeps the base's 25 variables, one above the
+        # oracle's cap, though every clause reads only variables 1-4
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 25 8\n" + "1 2 0\n-1 3 0\n2 -4 0\n1 4 0\n" * 2)
+        code = run([
+            "gap-reduce", "--input", str(cnf), "--mode", "two-sided", "--trials", "2",
+            "--seed", "0", "--report", str(tmp_path / "g.json"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "resource cap: subroutine failed on trial 0" in err
+        assert "exceeds enumeration cap 24" in err
+
+    @pytest.mark.parametrize("mode", ["one-sided", "two-sided"])
+    def test_negative_trial_count_refused(self, no48_cnf, tmp_path, capsys, mode):
+        report = tmp_path / "g.json"
+        code = run([
+            "gap-reduce", "--input", no48_cnf, "--mode", mode, "--trials", "-3",
+            "--seed", "0", "--report", str(report),
+        ])
+        assert code == 2 and not report.exists()
+        assert "trial count must not be negative, got -3" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_transform_outputs_byte_identical_across_reruns(self, toy_cnf, tmp_path):
@@ -357,7 +398,7 @@ def _shared_input_circuit(scheme):
     for prev_w, w in zip(widths, widths[1:]):
         layers.append([tuple(range(prev_w))] * w)
     return RobustCircuit(
-        m=m, depth=4, theta=Fraction(1, 2), variant="deterministic",
+        m=m, theta=Fraction(1, 2), variant="deterministic",
         layers=tuple(layers), scheme=scheme,
     )
 

@@ -249,8 +249,19 @@ class TestFamilies:
     def test_determinism_byte_for_byte(self):
         a = build_sampler_family(PARAMS, 64, seed=9)
         b = build_sampler_family(PARAMS, 64, seed=9)
-        assert a == b  # sets, params, provenance, lambda, degree and seed
+        assert a == b  # sets, params, lambda and degree
         assert a.sets.tobytes() == b.sets.tobytes()
+
+    def test_equality_tells_kinds_apart(self):
+        # one seed's halved and full families share the first N/2 rows
+        halved = build_sampler_family(PARAMS, 32, seed=5)
+        full = build_full_family(PARAMS, 32, seed=5)
+        assert np.array_equal(halved.sets, full.sets[:16])
+        assert halved != full
+        # the same sets given explicitly carry no graph lambda or degree
+        explicit = family_from_sets(32, full.sets, PARAMS)
+        assert np.array_equal(explicit.sets, full.sets)
+        assert explicit != full
 
     def test_infeasible_lambda_target(self):
         strict = SamplerParams(
