@@ -323,18 +323,25 @@ def build_randomized(
 # ---------------------------------------------------------------------------
 
 
+def fire(c: RobustCircuit, layer: int, below: np.ndarray) -> np.ndarray:
+    """(rows x gates) uint8 outputs of a layer (1-based) on the rows of the
+    layer below, a (rows x width_in(layer)) 0/1 array; evaluate, the
+    completeness probe and the verifier all fire gates here."""
+    ones = below.take(c.layers[layer - 1], axis=1).sum(axis=2)
+    return (ones >= c.fire_count(layer)).astype(np.uint8)
+
+
 def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
     """Honest evaluation: all layer strings produced from the input bits."""
     if len(input_bits) != c.m:
         raise GapforgeError(
             f"input has {len(input_bits)} bits, circuit expects {c.m}"
         )
-    current = np.asarray(input_bits, dtype=np.uint8)
+    current = np.asarray(input_bits, dtype=np.uint8)[None, :]
     out: list[LayerString] = []
     for layer in range(1, c.depth + 1):
-        ones = current[c.layers[layer - 1]].sum(axis=1)
-        current = (ones >= c.fire_count(layer)).astype(np.uint8)
-        out.append(tuple(current.tolist()))
+        current = fire(c, layer, current)
+        out.append(tuple(current[0].tolist()))
     return out
 
 
@@ -401,7 +408,8 @@ def _worst_exhaustive(
     idx: np.ndarray, thr: int, w_in: int, in_cap: int
 ) -> tuple[int, int, int]:
     """(worst fired count, witness int, strings checked) over all strings with
-    popcount <= in_cap; independent formulation from the oracle's sweep."""
+    popcount <= in_cap; independent of the oracle's sweep, and scored by one
+    multiplicity product per block, not fire's (strings x gates x fan_in)."""
     mult = _gate_multiplicity(idx, w_in)
     worst, witness, checked = -1, 0, 0
     chunk = 1 << 18
@@ -437,7 +445,8 @@ def _worst_statistical(
 
     All strings are scored by one float32 product of the (strings x w_in)
     matrix and the multiplicity matrix, exact because no count exceeds the
-    fan-in; the first string with the most fired gates seeds the climb."""
+    fan-in; the first string with the most fired gates seeds the climb. It
+    scores with the multiplicity matrix swap_climb needs anyway, not fire."""
     mult = _gate_multiplicity(idx, w_in)
     rng = rng_from(seed)
     n_random = max(1, trials - 4)
@@ -469,9 +478,11 @@ def certify_goodness(
 ) -> GoodnessCertificate:
     """Layer-by-layer damping certificate at the circuit scheme's mean_in and
     mean_out. Failures are verdicts, not errors; a circuit without a scheme
-    has no bounds to certify and raises GapforgeError."""
+    has no bounds to certify, and fewer than one trial, raise GapforgeError."""
     if c.scheme is None:
         raise GapforgeError("the circuit carries no (c, s) scheme to certify against")
+    if trials < 1:
+        raise GapforgeError(f"trials must be at least 1, got {trials}")
     mi, mo = c.scheme.mean_in, c.scheme.mean_out
     verdicts = []
     for layer in range(1, c.depth + 1):
@@ -519,31 +530,28 @@ def certify_goodness(
 # ---------------------------------------------------------------------------
 
 
-def completeness_inputs(m: int, completeness: Fraction, seed: int) -> list[tuple]:
-    """Worst admissible honest inputs: zeros at the full budget, placed
-    randomly and clustered."""
+def completeness_inputs(m: int, completeness: Fraction, seed: int) -> np.ndarray:
+    """Worst admissible honest inputs, the rows of a (2 x m) uint8 array:
+    zeros at the full budget, placed randomly, then clustered."""
     zeros = m - threshold_count(completeness, m)
-    rng = rng_from(seed)
-    random_vec = np.ones(m, dtype=np.int64)
-    random_vec[rng.permutation(m)[:zeros]] = 0
-    clustered = np.ones(m, dtype=np.int64)
-    clustered[:zeros] = 0
-    return [tuple(random_vec.tolist()), tuple(clustered.tolist())]
+    inputs = np.ones((2, m), dtype=np.uint8)
+    inputs[0, rng_from(seed).permutation(m)[:zeros]] = 0
+    inputs[1, :zeros] = 0
+    return inputs
 
 
 def seed_failure_event(
     m: int, f: int, scheme: ThresholdScheme
 ) -> Callable[[int], bool]:
     """Event: some full-budget honest input fails to reach an all-ones top
-    layer on a freshly wired circuit."""
+    layer on a freshly wired circuit; both inputs fire as one array."""
 
     def event(seed: int) -> bool:
         c = build_randomized(m, f, seed, scheme)
-        for bits in completeness_inputs(m, scheme.completeness, derive_seed(seed, 1)):
-            top = evaluate(c, bits)[-1]
-            if not all(top):
-                return True
-        return False
+        current = completeness_inputs(m, scheme.completeness, derive_seed(seed, 1))
+        for layer in range(1, c.depth + 1):
+            current = fire(c, layer, current)
+        return not current.all()
 
     return event
 

@@ -95,6 +95,8 @@ def cmd_transform(args) -> int:
     m = base.num_clauses
     found = None  # auto_fan_in's certificate of the circuit it returns
     if args.variant == "det":
+        if args.fanin is not None:
+            raise GapforgeError("--fanin applies only to --variant rand")
         circ = circuit_mod.build_deterministic(m, seed=seed)
     elif args.fanin is None:
         circ, found = circuit_mod.auto_fan_in(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import GoodnessCertificate, RobustCircuit, circuit_digest, evaluate
+from .circuit import GoodnessCertificate, RobustCircuit, circuit_digest, evaluate, fire
 from .csp import (
     DEFAULT_TABLE_CAP,
     Clause,
@@ -37,7 +37,8 @@ from .oracle import clause_sat_matrix
 from .util import derive_seed, rng_from
 
 DEFAULT_ADVERSARY_CAP = 24
-# entries in the exhaustive adversary's largest temporary (4 MB of float32)
+# entries in the exhaustive adversary's largest temporary (4 MB of float32);
+# transform() builds its int64 position blocks at half as many entries
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -48,14 +49,9 @@ class ProofString:
     x: tuple
     layers: tuple
 
-    def to_bits(self) -> tuple:
-        out = list(self.x)
-        for l in self.layers:
-            out.extend(l)
-        return tuple(out)
-
     def to_int(self) -> int:
-        return sum(b << i for i, b in enumerate(self.to_bits()))
+        bits = [*self.x, *(b for l in self.layers for b in l)]
+        return sum(b << i for i, b in enumerate(bits))
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,6 @@ class Accounting:
 
 @dataclass(frozen=True)
 class VerifierCheck:
-    index: int
     gate_refs: tuple  # (layer, gate index) for layers 1..d
     transcript: tuple  # sorted distinct proof positions read
 
@@ -114,19 +109,32 @@ class TransformedSystem:
     def proof_length(self) -> int:
         return self._offsets[-1]
 
+    def positions(self, j: np.ndarray) -> np.ndarray:
+        """Row r lists the proof positions check j[r] reads, sorted with
+        repeats kept: the clause's scope padded to the base's width with its
+        claimed layer-0 bit, the claimed bit of every layer on its path, and
+        each path gate's inputs."""
+        widths, offsets, layers = self._widths, self._offsets, self.circuit.layers
+        j = np.asarray(j, dtype=np.int64)
+        col = self.base.width + 1
+        pos = np.empty((j.size, col + sum(1 + idx.shape[1] for idx in layers)), np.int64)
+        pos[:, :col] = (offsets[0] + j)[:, None]
+        for r, jr in enumerate(j.tolist()):
+            scope = self.base.clauses[jr].scope
+            pos[r, : len(scope)] = scope
+        for i, idx in enumerate(layers, start=1):
+            g = j % widths[i]
+            pos[:, col] = offsets[i] + g
+            np.add(idx[g], offsets[i - 1], out=pos[:, col + 1 : col + 1 + idx.shape[1]])
+            col += 1 + idx.shape[1]
+        pos.sort(axis=1)
+        return pos
+
     def check(self, j: int) -> VerifierCheck:
-        widths, offsets = self._widths, self._offsets
-        refs = tuple(
-            (i, j % widths[i]) for i in range(1, self.circuit.depth + 1)
-        )
-        # the clause's variables and the claimed bit of every layer on the
-        # path, then each path gate's inputs; sorted, repeats dropped
-        claimed = (offsets[0] + j % widths[0], *(offsets[i] + g for i, g in refs))
-        parts = [np.array((*self.base.clauses[j].scope, *claimed), dtype=np.int64)]
-        parts += [offsets[i - 1] + self.circuit.layers[i - 1][g] for i, g in refs]
-        pos = np.sort(np.concatenate(parts))
+        refs = tuple((i, j % w) for i, w in enumerate(self._widths[1:], start=1))
+        pos = self.positions(np.array([j]))[0]
         transcript = tuple(pos[np.r_[True, pos[1:] != pos[:-1]]].tolist())
-        return VerifierCheck(index=j, gate_refs=refs, transcript=transcript)
+        return VerifierCheck(gate_refs=refs, transcript=transcript)
 
 
 def transform(
@@ -138,8 +146,8 @@ def transform(
     """Build the check family and its accounting.
 
     Requires a passing goodness certificate for this exact circuit unless the
-    caller explicitly waives it. Asserts the query and length accounting on
-    every check as it is built.
+    caller explicitly waives it. Asserts the query bound on every check; the
+    checks' positions are built in blocks of at most _BLOCK_ENTRIES / 2.
     """
     if circuit.m != base.num_clauses:
         raise ShapeMismatchError(
@@ -163,22 +171,23 @@ def transform(
         accounting=Accounting(0, 0, None, (), 0),
     )
     m = base.num_clauses
-    d = circuit.depth
-    fan_ins = [idx.shape[1] for idx in circuit.layers]
-    bound_extra = sum(fan_ins) + d + 1
-    queries = []
-    for j in range(m):
-        chk = ts.check(j)
-        q = len(chk.transcript)
-        if q > base.clauses[j].arity + bound_extra:
-            raise GapforgeError(f"check {j} reads {q} positions, over the bound")
-        queries.append(q)
+    bound_extra = sum(idx.shape[1] for idx in circuit.layers) + circuit.depth + 1
+    rows = max(1, _BLOCK_ENTRIES // (2 * (base.width + bound_extra)))
+    queries = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, rows):
+        pos = ts.positions(np.arange(lo, min(lo + rows, m)))
+        queries[lo : lo + rows] = 1 + (pos[:, 1:] != pos[:, :-1]).sum(axis=1)
+        del pos  # one block alive at a time
+    over = queries > np.array([c.arity for c in base.clauses]) + bound_extra
+    if over.any():
+        j = int(over.argmax())
+        raise GapforgeError(f"check {j} reads {queries[j]} positions, over the bound")
     r = m.bit_length() - 1 if m & (m - 1) == 0 else None
     ts.accounting = Accounting(
         proof_length=ts.proof_length,
         randomness_strings=m,
         randomness_bits=r,
-        per_check_queries=tuple(queries),
+        per_check_queries=tuple(queries.tolist()),
         query_bound=base.width + bound_extra,
     )
     return ts
@@ -210,59 +219,45 @@ class CheckResult:
     failed_conjunct: str | None
 
 
-def run_check(ts: TransformedSystem, j: int, proof: ProofString) -> CheckResult:
-    """Run verifier check j against a proof; the transcript lists every proof
-    position the check reads regardless of where it fails."""
-    _validate_shape(ts, proof)
-    chk = ts.check(j)
-    failed = None
-    if evaluate_clause(ts.base.clauses[j], proof.x) != proof.layers[0][j]:
-        failed = "clause-vs-layer0"
-    for i, g in chk.gate_refs:
-        ones = sum(proof.layers[i - 1][p] for p in ts.circuit.layers[i - 1][g].tolist())
-        recomputed = 1 if ones >= ts.circuit.fire_count(i) else 0
-        if recomputed != proof.layers[i][g] and failed is None:
-            failed = f"gate-layer{i}"
-    top_g = j % len(proof.layers[-1])
-    if proof.layers[-1][top_g] != 1 and failed is None:
-        failed = "top-bit"
-    return CheckResult(accepted=failed is None, transcript=chk.transcript, failed_conjunct=failed)
-
-
 def _path_ok(ts: TransformedSystem, layer: list) -> np.ndarray:
-    """(rows x m) outcomes of every check's gate and top-bit conjuncts, for
-    rows of claimed layer strings: layer[i] is a (rows x w_i) uint8 array.
-    One layer evaluation per row serves all m checks."""
-    circ = ts.circuit
+    """(d + 1, rows, m) outcomes of every check's gate conjuncts at layers
+    1..d, then its top-bit conjunct, for rows of claimed layer strings:
+    layer[i] is a (rows x w_i) uint8 array. One fire per layer serves all
+    m checks."""
     widths = ts.layer_widths()
     j = np.arange(ts.base.num_clauses)
-    ok = layer[-1][:, j % widths[-1]] == 1
-    for i in range(1, circ.depth + 1):
-        ones = layer[i - 1][:, circ.layers[i - 1]].sum(axis=2, dtype=np.int32)
-        recomputed = (ones >= circ.fire_count(i)).astype(np.uint8)
+    ok = np.empty((len(widths), layer[0].shape[0], j.size), dtype=bool)
+    for i in range(1, len(widths)):
         g = j % widths[i]
-        ok &= recomputed[:, g] == layer[i][:, g]
+        ok[i - 1] = fire(ts.circuit, i, layer[i - 1])[:, g] == layer[i][:, g]
+    ok[-1] = layer[-1][:, j % widths[-1]] == 1
     return ok
 
 
-def _accept_vector(ts: TransformedSystem, proof: ProofString) -> np.ndarray:
-    """Vector over j of check outcomes."""
-    clause_ok = np.array(
-        [
-            evaluate_clause(c, proof.x) == proof.layers[0][j]
-            for j, c in enumerate(ts.base.clauses)
-        ],
-        dtype=bool,
-    )
+def _conjuncts(ts: TransformedSystem, proof: ProofString) -> np.ndarray:
+    """(d + 2, m) outcomes of every check's conjuncts on one proof, in the
+    order run_check reports them: the clause against its claimed layer-0
+    bit, the path gate of layers 1..d, the top bit."""
+    _validate_shape(ts, proof)
+    clause = np.array([evaluate_clause(c, proof.x) for c in ts.base.clauses])
     layer = [np.asarray(l, dtype=np.uint8)[None, :] for l in proof.layers]
-    return clause_ok & _path_ok(ts, layer)[0]
+    return np.vstack((clause == layer[0][0], _path_ok(ts, layer)[:, 0]))
+
+
+def run_check(ts: TransformedSystem, j: int, proof: ProofString) -> CheckResult:
+    """Run verifier check j against a proof and name its first failing
+    conjunct; the transcript lists every proof position the check reads
+    regardless of where it fails."""
+    ok = _conjuncts(ts, proof)[:, j]
+    gates = [f"gate-layer{i}" for i in range(1, ts.circuit.depth + 1)]
+    failed = None if ok.all() else ["clause-vs-layer0", *gates, "top-bit"][int(ok.argmin())]
+    return CheckResult(failed is None, ts.check(j).transcript, failed)
 
 
 def acceptance_probability(ts: TransformedSystem, proof: ProofString) -> Fraction:
     """Exact fraction of accepting checks under uniform j."""
-    _validate_shape(ts, proof)
-    acc = _accept_vector(ts, proof)
-    return Fraction(int(acc.sum()), ts.base.num_clauses)
+    accepted = _conjuncts(ts, proof).all(axis=0)
+    return Fraction(int(accepted.sum()), ts.base.num_clauses)
 
 
 @dataclass(frozen=True)
@@ -273,16 +268,10 @@ class AdversaryReport:
 
 
 def proof_from_int(ts: TransformedSystem, value: int) -> ProofString:
-    n = ts.base.num_vars
-    widths = ts.layer_widths()
-    bits = [(value >> i) & 1 for i in range(n + sum(widths))]
-    x = tuple(bits[:n])
-    layers = []
-    pos = n
-    for w in widths:
-        layers.append(tuple(bits[pos : pos + w]))
-        pos += w
-    return ProofString(x=x, layers=tuple(layers))
+    bits = [(value >> i) & 1 for i in range(ts.proof_length)]
+    ends = ts._offsets
+    layers = tuple(tuple(bits[a:b]) for a, b in zip(ends, ends[1:]))
+    return ProofString(x=tuple(bits[: ends[0]]), layers=layers)
 
 
 def exhaustive_adversary(
@@ -306,11 +295,11 @@ def exhaustive_adversary(
     2^n scores when that alone is larger.
 
     Timed at m=8 on the deterministic circuit (15 gate bits) with a NO
-    base, in a loop of its own on a 2-core Intel Xeon sandbox (Python 3.11,
+    base, in a loop of its own on a 2-core Intel Xeon machine (Python 3.11,
     numpy 2.4, two OpenBLAS threads): about 0.03 s at 24 proof bits (n=9),
-    0.08 s at 26 and 0.25 s at 28. Inside a longer run each product was
-    seen to cost several ms more: 0.13 s at 24 bits in the cli_commands
-    benchmark.
+    0.07 s at 26 and 0.2 s at 28. Inside a longer run each product has
+    been seen to cost several ms more: 0.04 s at 24 bits in one traced
+    cli_commands run, 0.13 s in an earlier one.
     """
     bits = ts.proof_length
     if bits > cap:
@@ -331,7 +320,7 @@ def exhaustive_adversary(
         settings = np.arange(lo, min(lo + rows, 1 << gate_bits), dtype=np.uint64)
         lbits = ((settings[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
         layer = [lbits[:, starts[i] : starts[i + 1]] for i in range(len(widths))]
-        ok = _path_ok(ts, layer)
+        ok = _path_ok(ts, layer).all(axis=0)
         l0 = layer[0] == 1
         coef = (ok * np.where(l0, 1, -1)).astype(np.float32)
         scores = coef @ clause_sat

@@ -504,8 +504,21 @@ class TestRandomizedCompleteness:
         assert float(rep.frequency) <= 0.5  # loose health check at small m
 
     def test_completeness_inputs_budget(self):
-        for bits in completeness_inputs(64, Fraction(9, 10), seed=3):
-            assert sum(bits) == threshold_count(Fraction(9, 10), 64)
+        inputs = completeness_inputs(64, Fraction(9, 10), seed=3)
+        assert inputs.shape == (2, 64)
+        assert (inputs.sum(axis=1) == threshold_count(Fraction(9, 10), 64)).all()
+
+    def test_probe_agrees_with_evaluate(self):
+        m, scheme, outcomes = 1024, DEFAULT_SCHEME, set()
+        for f in (4, 15):  # every wiring below fails at f = 4 and passes at 15
+            event = seed_failure_event(m, f, scheme)
+            for seed in range(16):
+                c = build_randomized(m, f, seed, scheme)
+                rows = completeness_inputs(m, scheme.completeness, derive_seed(seed, 1))
+                want = any(0 in evaluate(c, row)[-1] for row in rows)
+                assert event(seed) == want
+                outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestSerialization:

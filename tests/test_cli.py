@@ -104,6 +104,26 @@ class TestTransformCommand:
         bad.write_text("p cnf 2 1\n3 0\n")
         assert run(["transform", "--input", str(bad), "--waive-cert"]) == 2
 
+    def test_fanin_refused_for_the_deterministic_variant(self, toy_cnf, tmp_path, capsys):
+        report = tmp_path / "t.json"
+        code = run([
+            "transform", "--input", toy_cnf, "--variant", "det", "--fanin", "8",
+            "--waive-cert", "--report", str(report),
+        ])
+        assert code == 2 and not report.exists()
+        assert "--fanin applies only to --variant rand" in capsys.readouterr().err
+
+    def test_trials_below_one_refused(self, tmp_path, capsys):
+        cnf = tmp_path / "m64.cnf"
+        cnf.write_text(serialize(random_3sat(6, 64, 1)))
+        report = tmp_path / "t.json"
+        code = run([
+            "transform", "--input", str(cnf), "--variant", "rand", "--certify",
+            "--trials", "-3", "--report", str(report),
+        ])
+        assert code == 2 and not report.exists()
+        assert "trials must be at least 1, got -3" in capsys.readouterr().err
+
 
 class TestCertifyCommand:
     def test_round_trip_certify(self, toy_cnf, tmp_path):
@@ -121,6 +141,19 @@ class TestCertifyCommand:
         doc = json.loads(report.read_text())
         assert doc["certificate"]["passed"]
         assert any("passed" in r for r in doc["sampler_reports"])
+
+    @pytest.mark.parametrize("trials", [-5, 0])
+    def test_trials_below_one_refused(self, tmp_path, capsys, trials):
+        # layers 1 and 2 of the m=64 circuit are wider than the exhaustive cap
+        path = tmp_path / "det64.rcirc"
+        path.write_text(serialize_circuit(circuit_mod.build_deterministic(64, seed=0)))
+        report = tmp_path / "cert.json"
+        code = run([
+            "certify", "--circuit", str(path), "--trials", str(trials),
+            "--report", str(report),
+        ])
+        assert code == 2 and not report.exists()
+        assert f"trials must be at least 1, got {trials}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",

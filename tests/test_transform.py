@@ -6,8 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapforge.circuit import build_deterministic, build_randomized, certify_goodness
-from gapforge.csp import CspInstance, disjunction
+from gapforge.circuit import (
+    build_deterministic,
+    build_randomized,
+    certify_goodness,
+    evaluate,
+)
+from gapforge.csp import CspInstance, disjunction, evaluate_clause
 from gapforge.errors import (
     MissingCertificateError,
     ResourceCapError,
@@ -221,6 +226,52 @@ class TestRunCheck:
         ts, _ = sat_system
         with pytest.raises(ShapeMismatchError):
             run_check(ts, 0, ProofString(x=(0,), layers=((0,),)))
+
+    @staticmethod
+    def failing_conjuncts(ts, j, proof) -> list:
+        """Reference: the names of check j's failing conjuncts, in order,
+        each recomputed position by position from the check's gate refs."""
+        circ, layers = ts.circuit, proof.layers
+        failed = []
+        if evaluate_clause(ts.base.clauses[j], proof.x) != layers[0][j]:
+            failed.append("clause-vs-layer0")
+        for i, g in ts.check(j).gate_refs:
+            ones = sum(layers[i - 1][p] for p in circ.layers[i - 1][g].tolist())
+            if int(ones >= circ.fire_count(i)) != layers[i][g]:
+                failed.append(f"gate-layer{i}")
+        if layers[-1][j % len(layers[-1])] != 1:
+            failed.append("top-bit")
+        return failed
+
+    def test_failed_conjunct_names_the_first_failure(self, sat_system):
+        ts, rep = sat_system
+        honest = honest_proof(ts, rep.argmax).layers
+        x, d, j = rep.argmax, ts.circuit.depth, 5
+
+        def proof(layers):
+            return ProofString(x=tuple(x), layers=tuple(map(tuple, layers)))
+
+        def off_path_zeroed(i):
+            # layer i zeroed except the bit check j reads there
+            return [b if p == j % len(honest[i]) else 0 for p, b in enumerate(honest[i])]
+
+        # layer 0 flipped at j, honest gate bits recomputed above it
+        l0 = list(honest[0])
+        l0[j] ^= 1
+        cases = [(proof([l0, *evaluate(ts.circuit, l0)]), ["clause-vs-layer0"])]
+        # the path gate of layer i reads a zeroed layer below but claims 1
+        for i in range(1, d + 1):
+            layers = [*honest[: i - 1], off_path_zeroed(i - 1), *honest[i:]]
+            cases.append((proof(layers), [f"gate-layer{i}"]))
+        # a zero top bit that the zeroed layer below recomputes
+        cases.append((proof([*honest[: d - 1], off_path_zeroed(d - 1), (0,)]), ["top-bit"]))
+        # a zero top bit over the honest layers fails its gate first
+        cases.append((proof([*honest[:d], (0,)]), [f"gate-layer{d}", "top-bit"]))
+        for broken, want in cases:
+            assert self.failing_conjuncts(ts, j, broken) == want
+            res = run_check(ts, j, broken)
+            assert not res.accepted and res.failed_conjunct == want[0]
+        assert run_check(ts, j, proof(honest)).failed_conjunct is None
 
 
 class TestAcceptanceProbability:
