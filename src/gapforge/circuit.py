@@ -87,8 +87,10 @@ class ThresholdScheme:
     def mean_out(self) -> Fraction:
         return self.soundness
 
-    @property
+    @cached_property
     def theta(self) -> Fraction:
+        """(2c + s)/3, in (0, 1) because 0 < s < c <= 1; computed once, as
+        every gate of every fired layer reads it."""
         return (self.completeness + self.mean_in) / 2
 
     @property
@@ -99,18 +101,6 @@ class ThresholdScheme:
 DEFAULT_SCHEME = ThresholdScheme()
 
 
-@dataclass(frozen=True)
-class LayerWiring:
-    """How one layer was wired. For a sampler layer, lambda_bound is an upper
-    bound on the expander's normalized second eigenvalue, at most the target:
-    the trace bound sqrt(N/D - 1) when that clears the target, otherwise the
-    value solved to 1e-8 by power iteration. None for every other kind."""
-
-    kind: str  # "sampler" | "full" | "random" | "parsed"
-    degree: int | None = None
-    lambda_bound: float | None = None
-
-
 @dataclass
 class RobustCircuit:
     """Immutable after construction; treat all fields as read-only.
@@ -118,21 +108,24 @@ class RobustCircuit:
     layers[i - 1] wires layer i: a read-only (gates, fan_in) int64 array whose
     row g holds gate g's sorted input positions in layer i - 1, multiset
     repeats kept. Every gate fires when the mean of its inputs is at least
-    the circuit's theta; nothing else sets a threshold. Construction raises
+    the scheme's theta; nothing else sets a threshold. Construction raises
     GapforgeError unless m >= 1, there is at least one layer, layer i has
     width_at(m, i) gates, and every input lies in [0, width_in(i)).
+
+    lambda_bounds has one entry per layer for a build_deterministic circuit
+    and is empty otherwise. For a sampler layer it is an upper bound on the
+    expander's normalized second eigenvalue, at most the target: the trace
+    bound sqrt(N/D - 1) when that clears the target, otherwise the value
+    solved to 1e-8 by power iteration. It is None for a full fan-in layer.
     """
 
     m: int
-    theta: Fraction
     variant: str  # "deterministic" | "randomized"
     layers: tuple[np.ndarray, ...]
-    scheme: ThresholdScheme | None = None
-    layer_meta: tuple[LayerWiring, ...] = ()
+    scheme: ThresholdScheme
+    lambda_bounds: tuple[float | None, ...] = ()
 
     def __post_init__(self):
-        if not (0 < self.theta < 1):
-            raise GapforgeError("theta must lie in (0, 1)")
         if self.m < 1 or not self.layers:
             raise GapforgeError("a circuit needs at least one input and one layer")
         self.layers = tuple(
@@ -158,12 +151,15 @@ class RobustCircuit:
             return NotImplemented
         return (
             self.m == other.m
-            and self.theta == other.theta
             and self.variant == other.variant
             and self.scheme == other.scheme
             and len(self.layers) == len(other.layers)
             and all(np.array_equal(a, b) for a, b in zip(self.layers, other.layers))
         )
+
+    @property
+    def theta(self) -> Fraction:
+        return self.scheme.theta
 
     @property
     def depth(self) -> int:
@@ -251,18 +247,18 @@ def build_deterministic(
     worst_case_degree picks keep it far below the target, so no eigenvalue
     is solved. Only when the bound exceeds the target is lambda solved to
     1e-8 by power iteration, and the layer is rejected if that value exceeds
-    the target too. The wiring records degree and lambda_bound per layer.
+    the target too. The circuit records that lambda bound per layer.
     """
     if m < 2:
         raise InfeasibleParametersError("need at least 2 inputs")
     depth = deterministic_depth(m)
     layers = []
-    meta = []
+    lambdas = []
     for i in range(1, depth + 1):
         w_in, w_out = width_at(m, i - 1), width_at(m, i)
         if w_in <= DEGENERATE_CUTOFF:
             layers.append(np.tile(np.arange(w_in), (w_out, 1)))
-            meta.append(LayerWiring(kind="full", degree=w_in))
+            lambdas.append(None)
         else:
             D = worst_case_degree(w_in, scheme)
             graph = build_expander(w_in, D, derive_seed(seed, i))
@@ -277,14 +273,13 @@ def build_deterministic(
                         f"{TARGET_LAMBDA} at width {w_in}"
                     )
             layers.append(graph.adjacency[:w_out])
-            meta.append(LayerWiring(kind="sampler", degree=D, lambda_bound=lam))
+            lambdas.append(lam)
     return RobustCircuit(
         m=m,
-        theta=scheme.theta,
         variant="deterministic",
         layers=tuple(layers),
         scheme=scheme,
-        layer_meta=tuple(meta),
+        lambda_bounds=tuple(lambdas),
     )
 
 
@@ -302,19 +297,12 @@ def build_randomized(
         raise InfeasibleParametersError("fan-in must be positive")
     depth = randomized_depth(m)
     layers = []
-    meta = []
     for i in range(1, depth + 1):
         w_in, w_out = width_at(m, i - 1), width_at(m, i)
         rng = rng_from(derive_seed(seed, i))
         layers.append(rng.integers(0, w_in, size=(w_out, f)))
-        meta.append(LayerWiring(kind="random"))
     return RobustCircuit(
-        m=m,
-        theta=scheme.theta,
-        variant="randomized",
-        layers=tuple(layers),
-        scheme=scheme,
-        layer_meta=tuple(meta),
+        m=m, variant="randomized", layers=tuple(layers), scheme=scheme
     )
 
 
@@ -477,10 +465,8 @@ def certify_goodness(
     seed: int = 0,
 ) -> GoodnessCertificate:
     """Layer-by-layer damping certificate at the circuit scheme's mean_in and
-    mean_out. Failures are verdicts, not errors; a circuit without a scheme
-    has no bounds to certify, and fewer than one trial, raise GapforgeError."""
-    if c.scheme is None:
-        raise GapforgeError("the circuit carries no (c, s) scheme to certify against")
+    mean_out. Failures are verdicts, not errors; fewer than one trial raises
+    GapforgeError."""
     if trials < 1:
         raise GapforgeError(f"trials must be at least 1, got {trials}")
     mi, mo = c.scheme.mean_in, c.scheme.mean_out
@@ -600,13 +586,12 @@ def auto_fan_in(
 def serialize_circuit(c: RobustCircuit) -> str:
     """The .rcirc text: a header, then one line of input positions per gate.
 
-    The header is "rcirc m depth variant theta" when that restores the
-    circuit's scheme on parsing (the default scheme at its own theta, or no
-    scheme at another theta), and "rcirc/2 m depth variant theta c s"
-    otherwise, carrying the scheme's (c, s) gap.
+    The header is "rcirc m depth variant theta" for the default scheme, and
+    "rcirc/2 m depth variant theta c s" otherwise, carrying the scheme's
+    (c, s) gap. Both carry the scheme's theta.
     """
     fields = f"{c.m} {c.depth} {c.variant} {frac_str(c.theta)}"
-    if c.scheme in (None, _v1_scheme(c.theta)):
+    if c.scheme == DEFAULT_SCHEME:
         header = f"rcirc {fields}"
     else:
         s = c.scheme
@@ -618,11 +603,6 @@ def serialize_circuit(c: RobustCircuit) -> str:
         name = [str(i) for i in range(c.width_in(layer))].__getitem__
         lines.extend(" ".join(map(name, row.tolist())) for row in idx)
     return "\n".join(lines) + "\n"
-
-
-def _v1_scheme(theta: Fraction) -> ThresholdScheme | None:
-    """The scheme a v1 header implies: the default one at its theta."""
-    return DEFAULT_SCHEME if theta == DEFAULT_SCHEME.theta else None
 
 
 def _scan_gate_lines(lines: list[str], first: int, w: int, w_in: int) -> list:
@@ -674,15 +654,19 @@ def _gate_rows(lines: list[str], first: int, w: int, w_in: int) -> np.ndarray:
 
 
 def parse_circuit(text: str) -> RobustCircuit:
-    """Parse .rcirc text, v1 or rcirc/2. A v1 header carries no scheme: the
-    circuit gets the default scheme when its theta is the default's, and
-    none otherwise. Line numbers count non-blank lines."""
+    """Parse .rcirc text, v1 or rcirc/2. A v1 header means the default
+    scheme; under either header, theta must be the scheme's. Line numbers
+    count non-blank lines."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("rcirc"):
         raise ParseError("missing rcirc header", 1)
     toks = lines[0].split()
     v2 = toks[0] == "rcirc/2"
-    if len(toks) != (7 if v2 else 5) or toks[3] not in ("deterministic", "randomized"):
+    if (
+        toks[0] not in ("rcirc", "rcirc/2")
+        or len(toks) != (7 if v2 else 5)
+        or toks[3] not in ("deterministic", "randomized")
+    ):
         raise ParseError("malformed rcirc header", 1)
     try:
         m, depth = int(toks[1]), int(toks[2])
@@ -690,11 +674,15 @@ def parse_circuit(text: str) -> RobustCircuit:
         if v2:
             scheme = ThresholdScheme(parse_frac(toks[5]), parse_frac(toks[6]))
         else:
-            scheme = _v1_scheme(theta)
+            scheme = DEFAULT_SCHEME
     except ValueError:
         raise ParseError("malformed rcirc header", 1) from None
-    if m < 1 or depth < 1:
+    if m < 1 or depth < 1 or theta != scheme.theta:
         raise ParseError("malformed rcirc header", 1)
+    if depth >= len(lines):  # every layer has at least one gate line
+        raise ParseError(
+            f"expected at least {depth} gate lines, found {len(lines) - 1}", 1
+        )
     widths = [width_at(m, i) for i in range(1, depth + 1)]
     if len(lines) - 1 != sum(widths):
         raise ParseError(
@@ -705,13 +693,4 @@ def parse_circuit(text: str) -> RobustCircuit:
     for layer_idx, w in enumerate(widths, start=1):
         layers.append(_gate_rows(lines, first, w, width_at(m, layer_idx - 1)))
         first += w
-    return RobustCircuit(
-        m=m,
-        theta=theta,
-        variant=toks[3],
-        layers=tuple(layers),
-        scheme=scheme,
-        layer_meta=tuple(
-            LayerWiring(kind="parsed") for _ in layers
-        ),
-    )
+    return RobustCircuit(m=m, variant=toks[3], layers=tuple(layers), scheme=scheme)

@@ -70,7 +70,7 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
 
     Randomized layers are multisets and are skipped (goodness verdicts cover
     them). The families are explicit lists with no spectral data, so no
-    report carries the mixing line. The circuit must carry its scheme.
+    report carries the mixing line.
     """
     docs = []
     s = c.scheme
@@ -80,7 +80,7 @@ def _certificate_reports(c: circuit_mod.RobustCircuit, seed: int) -> list[dict]:
         if (idx[:, 1:] == idx[:, :-1]).any():  # rows are sorted: a repeat
             docs.append({"layer": layer, "skipped": "multiset wiring"})
             continue
-        fam = sampler.family_from_sets(c.width_in(layer), idx, params)
+        fam = sampler.SamplerFamily(c.width_in(layer), idx, params)
         corpus = sampler.adversarial_corpus(fam, seed)
         rep = sampler.certify_sampler(fam, corpus)
         doc = rep.to_doc()
@@ -169,9 +169,7 @@ def cmd_transform(args) -> int:
         doc["soundness"] = {
             "mode": "greedy-lower-bound",
             "greedy_acceptance": frac_str(val),
-            "analytical_bound": (
-                None if circ.scheme is None else frac_str(circ.scheme.new_soundness)
-            ),
+            "analytical_bound": frac_str(circ.scheme.new_soundness),
         }
     _emit(doc, args.report)
     return EXIT_OK
@@ -180,12 +178,6 @@ def cmd_transform(args) -> int:
 def cmd_certify(args) -> int:
     seed = _seed(args)
     circ = circuit_mod.parse_circuit(Path(args.circuit).read_text())
-    if circ.scheme is None:
-        raise GapforgeError(
-            f"{args.circuit} carries no (c, s) scheme and its theta "
-            f"{frac_str(circ.theta)} is not the default's; "
-            "write it with an rcirc/2 header to certify it"
-        )
     cert = circuit_mod.certify_goodness(
         circ, exhaustive_cap=args.exhaustive_cap, trials=args.trials, seed=seed
     )

@@ -427,7 +427,7 @@ def _lll_numbers(p: ReductionParams, fam: SamplerFamily) -> tuple[int, float, fl
     d = intersection_degree(fam)
     mu = p.s * (1 + p.epsilon)
     rel = (p.epsilon / 2) / (1 + p.epsilon)
-    p_est = chernoff_tail("bound-1-lower", mu, rel, fam.set_size)
+    p_est = chernoff_tail(mu, rel, fam.set_size)
     value, ok = lll_condition(p_est, d)
     return d, p_est, value, ok
 

@@ -305,28 +305,16 @@ def exhaustive_layer_check(
     )
 
 
-def chernoff_tail(kind: str, mu: Fraction, delta: Fraction, n: int) -> float:
-    """Right-hand side of the multiplicative tail bounds used in reports.
-
-    kind "bound-1-upper": exp(-d^2 mu n / 3), for 0 < d <= 1
-    kind "bound-1-lower": exp(-d^2 mu n / 2), for 0 < d <= 1
-    kind "bound-2":       (e^d / (1+d)^(1+d))^(mu n), for d >= 2
-
-    These are reporting aids only; measurements never defer to them.
-    """
+def chernoff_tail(mu: Fraction, delta: Fraction, n: int) -> float:
+    """exp(-d^2 mu n / 2), the multiplicative Chernoff bound on the lower
+    tail, for 0 < d <= 1. A reporting aid only; measurements never defer
+    to it."""
     mu_f, d = float(mu), float(delta)
     if not (0 <= mu_f <= 1):
         raise ValueError("mu must lie in [0, 1]")
-    if kind in ("bound-1-upper", "bound-1-lower"):
-        if not (0 < d <= 1):
-            raise ValueError(f"{kind} requires 0 < delta <= 1, got {d}")
-        divisor = 3.0 if kind == "bound-1-upper" else 2.0
-        return math.exp(-d * d * mu_f * n / divisor)
-    if kind == "bound-2":
-        if d < 2:
-            raise ValueError(f"bound-2 requires delta >= 2, got {d}")
-        return math.exp(mu_f * n * (d - (1 + d) * math.log1p(d)))
-    raise ValueError(f"unknown bound kind {kind!r}")
+    if not (0 < d <= 1):
+        raise ValueError(f"delta must lie in (0, 1], got {d}")
+    return math.exp(-d * d * mu_f * n / 2.0)
 
 
 def lll_condition(p: float, d: int) -> tuple[float, bool]:

@@ -339,7 +339,7 @@ class SamplerFamily:
     Families built from an expander keep the neighbor sets of its first
     floor(N/2) vertices (build_sampler_family) or of all N (build_full_family,
     what the one-sided reduction consumes), with the graph's measured lambda
-    and degree; family_from_sets gives neither.
+    and degree; a family built straight from its sets has neither.
     """
 
     ground_size: int
@@ -444,13 +444,6 @@ def build_full_family(
     """Full family: all N neighbor sets (one per vertex)."""
     graph, lam = _search_expander(params, N, seed, degree_schedule)
     return SamplerFamily(N, graph.adjacency, params, lam, graph.degree)
-
-
-def family_from_sets(
-    ground_size: int, sets: Sequence[Sequence[int]] | np.ndarray, params: SamplerParams
-) -> SamplerFamily:
-    """Explicit-list family over [ground_size]: the rows of sets, sorted."""
-    return SamplerFamily(ground_size, sets, params)
 
 
 def intersection_degree(fam: SamplerFamily) -> int:

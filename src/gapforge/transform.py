@@ -146,8 +146,10 @@ def transform(
     """Build the check family and its accounting.
 
     Requires a passing goodness certificate for this exact circuit unless the
-    caller explicitly waives it. Asserts the query bound on every check; the
-    checks' positions are built in blocks of at most _BLOCK_ENTRIES / 2.
+    caller explicitly waives it: one issued at the circuit scheme's bounds,
+    with one verdict per layer, every one passing. Asserts the query bound
+    on every check; the checks' positions are built in blocks of at most
+    _BLOCK_ENTRIES / 2.
     """
     if circuit.m != base.num_clauses:
         raise ShapeMismatchError(
@@ -163,6 +165,12 @@ def transform(
             raise MissingCertificateError("certificate was issued for a different circuit")
         if not certificate.passed:
             raise MissingCertificateError("certificate verdict is fail")
+        s = circuit.scheme
+        if (certificate.mean_in, certificate.mean_out) != (s.mean_in, s.mean_out):
+            raise MissingCertificateError("certificate bounds are not the circuit scheme's")
+        verdicts = [v.passed for v in certificate.layers]
+        if len(verdicts) != circuit.depth or not all(verdicts):
+            raise MissingCertificateError("certificate layers contradict its passing verdict")
     ts = TransformedSystem(
         base=base,
         circuit=circuit,

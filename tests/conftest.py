@@ -8,7 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapforge.circuit import build_deterministic, certify_goodness
+from gapforge.circuit import (
+    DEFAULT_SCHEME,
+    RobustCircuit,
+    build_deterministic,
+    certify_goodness,
+)
 from gapforge.csp import Clause, CspInstance, disjunction
 from gapforge.gapeth import ReductionParams, reduction_family
 from gapforge.oracle import brute_force_opt
@@ -52,6 +57,20 @@ def list_instance(base: CspInstance, entries: np.ndarray) -> CspInstance:
 
 def layer_means(layer_strings: Sequence[Sequence[int]]) -> list[Fraction]:
     return [Fraction(int(sum(s)), len(s)) for s in layer_strings]
+
+
+def shared_input_circuit() -> RobustCircuit:
+    """m = 10 at the default scheme, every layer-1 gate reading positions 0-4
+    (fire count 4): the 7/10 string with ones at 0-6 fires all 5 gates, over
+    out_cap 3, so layer 1 fails its damping check. The layers above read
+    their whole previous layer."""
+    widths = [5, 3, 2, 1]
+    layers = [(tuple(range(5)),) * widths[0]]
+    for prev_w, w in zip(widths, widths[1:]):
+        layers.append((tuple(range(prev_w)),) * w)
+    return RobustCircuit(
+        m=10, variant="deterministic", layers=tuple(layers), scheme=DEFAULT_SCHEME
+    )
 
 
 def high_optimum_instance(n: int, m: int, seed: int) -> tuple:

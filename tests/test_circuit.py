@@ -31,9 +31,9 @@ import gapforge.circuit as circuit_mod
 from gapforge.errors import GapforgeError, InfeasibleParametersError, ParseError
 from gapforge.oracle import estimate, exhaustive_layer_check
 from gapforge.sampler import second_eigenvalue, swap_climb
-from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
+from gapforge.util import derive_seed, floor_frac, frac_str, rng_from, threshold_count
 
-from conftest import layer_means
+from conftest import layer_means, shared_input_circuit
 
 
 class TestScheme:
@@ -102,15 +102,17 @@ class TestDeterministicBuild:
 
     def test_wiring_metadata(self):
         c = build_deterministic(32, seed=2)
-        kinds = [m.kind for m in c.layer_meta]
-        assert kinds[0] == "sampler" and kinds[-1] == "full"
-        for layer, meta in enumerate(c.layer_meta, start=1):
-            if meta.kind == "sampler":
+        assert len(c.lambda_bounds) == c.depth
+        assert c.lambda_bounds[0] is not None and c.lambda_bounds[-1] is None
+        for layer, lam in enumerate(c.lambda_bounds, start=1):
+            w, degree = c.width_in(layer), c.layers[layer - 1].shape[1]
+            if w > circuit_mod.DEGENERATE_CUTOFF:
                 # the trace bound of a simple D-regular graph on w vertices
-                w = c.width_in(layer)
-                assert meta.lambda_bound == math.sqrt(Fraction(w, meta.degree) - 1)
+                assert lam == math.sqrt(Fraction(w, degree) - 1)
             else:
-                assert meta.lambda_bound is None
+                assert lam is None and degree == w  # full fan-in
+        assert parse_circuit(serialize_circuit(c)).lambda_bounds == ()
+        assert build_randomized(32, f=4, seed=2).lambda_bounds == ()
 
 
 def _count_solves(monkeypatch) -> list:
@@ -132,7 +134,7 @@ class TestLayerLambda:
         solved = _count_solves(monkeypatch)
         c = build_deterministic(m, seed=0)
         assert solved == []
-        bounds = [w.lambda_bound for w in c.layer_meta if w.kind == "sampler"]
+        bounds = [lam for lam in c.lambda_bounds if lam is not None]
         assert circuit_mod.TARGET_LAMBDA == 0.97
         assert bounds and all(b <= 0.97 for b in bounds)
 
@@ -141,9 +143,9 @@ class TestLayerLambda:
         default = build_deterministic(64, seed=0)
         monkeypatch.setattr(circuit_mod, "TARGET_LAMBDA", 0.3)
         c = build_deterministic(64, seed=0)
-        sampler_meta = [w for w in c.layer_meta if w.kind == "sampler"]
-        assert len(sampler_meta) == 3  # widths 64, 32, 16; 8 is full fan-in
-        assert [w.lambda_bound for w in sampler_meta] == solved
+        bounds = [lam for lam in c.lambda_bounds if lam is not None]
+        assert len(bounds) == 3  # widths 64, 32, 16; 8 is full fan-in
+        assert bounds == solved
         assert all(lam <= 0.3 for lam in solved)
         # the same wiring as at the default target: only the lambda record differs
         assert c == default
@@ -245,10 +247,9 @@ class TestConstructionChecks:
         assert parse_circuit(serialize_circuit(c)).fan_in is None
 
 
-def _custom_circuit(layers, m, theta=Fraction(4, 5), variant="deterministic"):
+def _custom_circuit(layers, m, variant="deterministic"):
     return RobustCircuit(
         m=m,
-        theta=theta,
         variant=variant,
         layers=tuple(tuple(layer) for layer in layers),
         scheme=DEFAULT_SCHEME,
@@ -315,14 +316,6 @@ class TestGoodness:
             args = (*layer_args, 64, derive_seed(5, i))
             assert circuit_mod._worst_statistical(*args) == reference_worst_statistical(*args)
 
-    def test_circuit_without_scheme_is_refused(self):
-        bare = RobustCircuit(
-            m=4, theta=Fraction(4, 5), variant="deterministic",
-            layers=(((0, 1, 2, 3),) * 2,),
-        )
-        with pytest.raises(GapforgeError, match="no \\(c, s\\) scheme"):
-            certify_goodness(bare)
-
     def test_deterministic_circuits_pass(self, det_circuits):
         for m, (c, cert) in det_circuits.items():
             assert cert.passed
@@ -336,12 +329,10 @@ class TestGoodness:
         )
 
     def test_bad_layer_caught_with_witness(self):
-        # every gate reads the same inputs at a threshold met by 7/10 strings
-        m = 10
-        shared = tuple(range(m))
-        c = _custom_circuit([[shared] * 5], m, theta=Fraction(1, 2))
-        cert = certify_goodness(c)
+        # every layer-1 gate reads the same inputs, so a 7/10 string fires all
+        cert = certify_goodness(shared_input_circuit())
         assert not cert.passed
+        assert not cert.layers[0].passed and cert.layers[0].worst_output_count == 5
         assert cert.layers[0].witness is not None
         witness = int(cert.layers[0].witness, 16)
         assert bin(witness).count("1") <= 7
@@ -431,10 +422,9 @@ class TestAutoFanIn:
 class TestCertificateCodec:
     @pytest.fixture(scope="class")
     def certs(self):
-        shared = _custom_circuit([[tuple(range(10))] * 5], 10, theta=Fraction(1, 2))
         return {
             "det-pass": certify_goodness(build_deterministic(64, seed=3)),
-            "det-fail": certify_goodness(shared),
+            "det-fail": certify_goodness(shared_input_circuit()),
             "rand-pass": certify_goodness(build_randomized(64, f=32, seed=0)),
             "rand-fail": certify_goodness(build_randomized(64, f=4, seed=0)),
         }
@@ -557,14 +547,8 @@ class TestSerialization:
                 idx[0, 0] = 0
 
     def test_round_trip_keeps_certificate(self):
-        m = 10
-        custom = _custom_circuit(
-            [[tuple(range(m))] * 5, [(0, 1, 2, 3, 4)] * 3, [(0, 1, 2)] * 2, [(0, 1)]],
-            m,
-            theta=Fraction(1, 2),
-        )
         built = (build_deterministic(64, seed=3), build_randomized(64, f=7, seed=1))
-        for c in built + (custom,):
+        for c in built + (shared_input_circuit(),):
             parsed = parse_circuit(serialize_circuit(c))
             assert parsed == c
             for kwargs in ({}, {"exhaustive_cap": 4, "trials": 16}):
@@ -693,16 +677,40 @@ class TestSerialization:
         other = ThresholdScheme(Fraction(4, 5), Fraction(1, 2))
         assert c == build_deterministic(16, seed=0)
         assert c != replace(c, scheme=other)
-        assert c != replace(c, scheme=None)
 
     def test_default_scheme_keeps_v1_header(self):
         for c in (build_deterministic(16, seed=0), build_randomized(16, f=3, seed=0)):
             assert serialize_circuit(c).startswith(f"rcirc 16 {c.depth} ")
             assert parse_circuit(serialize_circuit(c)).scheme == DEFAULT_SCHEME
-        # no scheme, another theta: nothing to carry, and nothing restored
-        bare = RobustCircuit(
-            m=4, theta=Fraction(1, 2), variant="deterministic",
-            layers=(((0, 1, 2, 3),) * 2,),
+
+    @pytest.mark.parametrize(
+        "header, scheme_theta",
+        [
+            ("rcirc 4 1 deterministic {}", "4/5"),  # v1 means the default scheme
+            ("rcirc/2 4 1 deterministic {} 9/10 3/10", "7/10"),
+        ],
+        ids=["v1", "rcirc2"],
+    )
+    def test_theta_off_its_scheme_refused(self, header, scheme_theta):
+        gates = "\n0 1 2 3\n0 1 2 3\n"
+        parsed = parse_circuit(header.format(scheme_theta) + gates)
+        assert frac_str(parsed.theta) == scheme_theta
+        with pytest.raises(ParseError, match="^line 1: malformed rcirc header$"):
+            parse_circuit(header.format("1/2") + gates)
+
+    @pytest.mark.parametrize("token", ["rcircus", "rcirc/1", "rcirc/3", "rcirc/9"])
+    def test_unknown_header_token_refused(self, token):
+        text = serialize_circuit(build_deterministic(8, seed=0))
+        assert text.startswith("rcirc 8 3 deterministic 4/5\n")
+        with pytest.raises(ParseError, match="^line 1: malformed rcirc header$"):
+            parse_circuit(text.replace("rcirc", token, 1))
+
+    @pytest.mark.parametrize("depth", [2, 10**7])
+    def test_depth_over_the_line_count_refused_before_any_width(self, monkeypatch, depth):
+        # every layer has at least one gate line
+        monkeypatch.setattr(
+            circuit_mod, "width_at", lambda m, i: pytest.fail("a width was computed")
         )
-        assert serialize_circuit(bare).startswith("rcirc 4 1 deterministic 1/2\n")
-        assert parse_circuit(serialize_circuit(bare)).scheme is None
+        with pytest.raises(ParseError) as info:
+            parse_circuit(f"rcirc 4 {depth} deterministic 4/5\n0 1 2 3\n")
+        assert str(info.value) == f"line 1: expected at least {depth} gate lines, found 1"

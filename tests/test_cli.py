@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import gapforge.circuit as circuit_mod
-from gapforge.circuit import DEFAULT_SCHEME, RobustCircuit, serialize_circuit
+from gapforge.circuit import serialize_circuit
 from gapforge.cli import main
 from gapforge.csp import CspInstance, disjunction, serialize
 
-from conftest import random_3sat, unit_pair_instance
+from conftest import random_3sat, shared_input_circuit, unit_pair_instance
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +231,34 @@ class TestCertificateFile:
     @pytest.mark.parametrize(
         "edit, message",
         [
+            (lambda doc: {
+                **doc,
+                "mean_in": "1/100",
+                "mean_out": "99/100",
+                "layers": [{**v, "passed": False} for v in doc["layers"]],
+            }, "certificate bounds are not the circuit scheme's"),
+            (lambda doc: {**doc, "mean_out": "7/10"},
+             "certificate bounds are not the circuit scheme's"),
+            (lambda doc: {**doc, "layers": doc["layers"][1:]},
+             "certificate layers contradict its passing verdict"),
+            (lambda doc: {
+                **doc, "layers": [{**doc["layers"][0], "passed": False}, *doc["layers"][1:]]
+            }, "certificate layers contradict its passing verdict"),
+        ],
+        ids=["bounds-and-layers", "other-mean-out", "missing-layer", "failing-layer"],
+    )
+    def test_self_contradicting_certificate_refused(
+        self, toy_cnf, tmp_path, issued, capsys, edit, message
+    ):
+        doc = edit(issued[1])
+        assert doc["passed"] is True
+        code, report = self._transform(toy_cnf, tmp_path, json.dumps(doc))
+        assert code == 2 and not report.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
             (lambda doc: {**doc, "passed": "false"},
              "GoodnessCertificate.passed: expected bool, got str"),
             (lambda doc: {**doc, "schema": "something-else/9"},
@@ -422,26 +450,12 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
-def _shared_input_circuit(scheme):
-    """Every gate reads its whole previous layer at theta 1/2, so a 7/10
-    input fires every gate of layer 1."""
-    m = 10
-    widths = [5, 3, 2, 1]
-    layers = [[tuple(range(m))] * widths[0]]
-    for prev_w, w in zip(widths, widths[1:]):
-        layers.append([tuple(range(prev_w))] * w)
-    return RobustCircuit(
-        m=m, theta=Fraction(1, 2), variant="deterministic",
-        layers=tuple(layers), scheme=scheme,
-    )
-
-
 class TestVerifiedFailure:
     def test_bad_circuit_exits_one_with_witness(self, tmp_path):
-        # the file carries the default scheme in an rcirc/2 header
-        bad = _shared_input_circuit(DEFAULT_SCHEME)
+        bad = shared_input_circuit()
         path = tmp_path / "bad.rcirc"
         path.write_text(serialize_circuit(bad))
+        assert path.read_text().startswith("rcirc 10 4 deterministic 4/5\n")
         report = tmp_path / "cert.json"
         code = run([
             "certify", "--circuit", str(path), "--seed", "0",
@@ -464,18 +478,22 @@ class TestVerifiedFailure:
         assert (cert["mean_in"], cert["mean_out"]) == ("3/5", "1/2")
 
     def test_unknown_scheme_refused(self, tmp_path, capsys):
-        path = tmp_path / "bare.rcirc"
-        path.write_text(serialize_circuit(_shared_input_circuit(None)))
-        report = tmp_path / "cert.json"
-        code = run([
-            "certify", "--circuit", str(path), "--seed", "0",
-            "--report", str(report),
-        ])
-        assert code == 2
-        assert not report.exists()
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gapforge: ")
-        assert "no (c, s) scheme" in err[0]
+        text = serialize_circuit(shared_input_circuit())
+        for header in (
+            "rcirc 10 4 deterministic 1/2",  # a v1 header means theta 4/5
+            "rcirc/2 10 4 deterministic 1/2 9/10 3/10",  # the scheme's theta is 7/10
+        ):
+            path = tmp_path / "bare.rcirc"
+            path.write_text(text.replace("rcirc 10 4 deterministic 4/5", header, 1))
+            report = tmp_path / "cert.json"
+            code = run([
+                "certify", "--circuit", str(path), "--seed", "0",
+                "--report", str(report),
+            ])
+            assert code == 2
+            assert not report.exists()
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["gapforge: parse error: line 1: malformed rcirc header"]
 
 
 class TestAdversaryFlag:

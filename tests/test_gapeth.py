@@ -41,7 +41,7 @@ from gapforge.gapeth import (
     solve_driver,
 )
 from gapforge.oracle import brute_force_opt, is_satisfiable
-from gapforge.sampler import SamplerFamily, family_from_sets
+from gapforge.sampler import SamplerFamily
 from gapforge.util import derive_seed, floor_frac, rng_from, threshold_count
 
 from conftest import list_instance, random_3sat, unit_pair_instance
@@ -402,7 +402,7 @@ class TestBatchedSweep:
         p = replace(red_params, t=24, seed=5)
         rng = rng_from(0x3D)
         sets = [rng.choice(1152, 300, replace=False) for _ in range(1152)]
-        fam = family_from_sets(1152, sets, reduction_family_params(p))
+        fam = SamplerFamily(1152, sets, reduction_family_params(p))
         assert threshold_count(p.threshold, fam.set_size) == 254
         got = one_sided_sweep(base, p, fam, 40)
         assert 0 < got.optima_above_half and got.max_optimum < 1

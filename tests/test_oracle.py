@@ -310,27 +310,26 @@ class TestLayerCheck:
 
 
 class TestChernoff:
-    def test_upper_form_example(self):
-        val = chernoff_tail("bound-1-upper", Fraction(1, 2), Fraction(1), 12)
-        assert val == pytest.approx(math.exp(-2))
+    def test_closed_form_example(self):
+        # exp(-d^2 mu n / 2) at d = 1, mu = 1/2, n = 8
+        assert chernoff_tail(Fraction(1, 2), Fraction(1), 8) == pytest.approx(math.exp(-2))
 
     def test_small_delta_near_one(self):
-        val = chernoff_tail("bound-1-upper", Fraction(1, 2), Fraction(1, 10**6), 10)
+        val = chernoff_tail(Fraction(1, 2), Fraction(1, 10**6), 10)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_decreasing_in_n(self):
         vals = [
-            chernoff_tail("bound-1-lower", Fraction(1, 2), Fraction(1, 2), n)
+            chernoff_tail(Fraction(1, 2), Fraction(1, 2), n)
             for n in (4, 8, 16, 32)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_bound2_range(self):
-        assert chernoff_tail("bound-2", Fraction(1, 2), Fraction(3), 10) < 1
-        with pytest.raises(ValueError):
-            chernoff_tail("bound-2", Fraction(1, 2), Fraction(1), 10)
-        with pytest.raises(ValueError):
-            chernoff_tail("bound-1-upper", Fraction(1, 2), Fraction(2), 10)
+    def test_range_checked(self):
+        half = Fraction(1, 2)
+        for mu, delta in ((-half, half), (3 * half, half), (half, 0), (half, 2)):
+            with pytest.raises(ValueError):
+                chernoff_tail(mu, Fraction(delta), 10)
 
 
 class TestLLL:

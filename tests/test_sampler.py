@@ -18,7 +18,6 @@ from gapforge.sampler import (
     build_full_family,
     build_sampler_family,
     certify_sampler,
-    family_from_sets,
     intersection_degree,
     mixing_bound,
     second_eigenvalue,
@@ -259,7 +258,7 @@ class TestFamilies:
         assert np.array_equal(halved.sets, full.sets[:16])
         assert halved != full
         # the same sets given explicitly carry no graph lambda or degree
-        explicit = family_from_sets(32, full.sets, PARAMS)
+        explicit = SamplerFamily(32, full.sets, PARAMS)
         assert np.array_equal(explicit.sets, full.sets)
         assert explicit != full
 
@@ -282,7 +281,7 @@ class TestFamilies:
         # 600 sets span three row blocks of the overlap computation
         rng = np.random.default_rng(5)
         sets = [tuple(sorted(rng.choice(900, 3, replace=False).tolist())) for _ in range(600)]
-        fam = family_from_sets(900, sets, PARAMS)
+        fam = SamplerFamily(900, sets, PARAMS)
         expected = max(
             sum(1 for j, t in enumerate(sets) if j != i and set(s) & set(t))
             for i, s in enumerate(sets)
@@ -292,7 +291,7 @@ class TestFamilies:
     def test_intersection_degree_computed_once_per_family(self, monkeypatch):
         rng = np.random.default_rng(6)
         sets = [tuple(sorted(rng.choice(300, 4, replace=False).tolist())) for _ in range(300)]
-        fam = family_from_sets(300, sets, PARAMS)
+        fam = SamplerFamily(300, sets, PARAMS)
         built = []
         real = SamplerFamily.incidence
 
@@ -314,15 +313,15 @@ class TestFamilies:
             ([(0, 1), (-1, 2)], "outside the ground set"),
         ):
             with pytest.raises(GapforgeError, match=msg):
-                family_from_sets(4, sets, PARAMS)
+                SamplerFamily(4, sets, PARAMS)
 
     def test_sets_are_sorted_read_only_rows(self):
-        fam = family_from_sets(4, [(3, 0), (2, 1)], PARAMS)
+        fam = SamplerFamily(4, [(3, 0), (2, 1)], PARAMS)
         assert fam.sets.tolist() == [[0, 3], [1, 2]]
         assert not fam.sets.flags.writeable
         assert fam.incidence().tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]]
-        assert fam == family_from_sets(4, [(0, 3), (1, 2)], PARAMS)
-        assert fam != family_from_sets(4, [(0, 3), (1, 3)], PARAMS)
+        assert fam == SamplerFamily(4, [(0, 3), (1, 2)], PARAMS)
+        assert fam != SamplerFamily(4, [(0, 3), (1, 3)], PARAMS)
 
 
 def _reference_search(params, N, seed, degree_schedule=None):
