@@ -55,6 +55,7 @@ CERT_TRIALS = 64  # certify_goodness's seeded strings per statistical layer
 FAN_IN_CAP = 64  # largest fan-in auto_fan_in tries
 PROBE_SEEDS = 48  # wirings auto_fan_in draws to estimate the seed-failure rate
 CERTIFICATE_SCHEMA = "gapforge-certificate/1"
+_SERIAL_BLOCK = 1 << 18  # most tokens serialize_circuit gathers at once
 
 
 @dataclass(frozen=True)
@@ -291,18 +292,24 @@ def build_randomized(
 ) -> RobustCircuit:
     """ceil(log2 log2 m) layers; every gate reads f positions drawn uniformly
     with replacement from the previous layer. Deterministic given the seed."""
+    return RobustCircuit(
+        m=m, variant="randomized", layers=_draw_layers(m, f, seed), scheme=scheme
+    )
+
+
+def _draw_layers(m: int, f: int, seed: int) -> tuple[np.ndarray, ...]:
+    """build_randomized's layers as drawn, rows unsorted: layer i from
+    rng_from(derive_seed(seed, i)). The completeness probe fires them
+    without building a circuit."""
     if m < 4:
         raise InfeasibleParametersError("need at least 4 inputs")
     if f < 1:
         raise InfeasibleParametersError("fan-in must be positive")
-    depth = randomized_depth(m)
-    layers = []
-    for i in range(1, depth + 1):
-        w_in, w_out = width_at(m, i - 1), width_at(m, i)
-        rng = rng_from(derive_seed(seed, i))
-        layers.append(rng.integers(0, w_in, size=(w_out, f)))
-    return RobustCircuit(
-        m=m, variant="randomized", layers=tuple(layers), scheme=scheme
+    return tuple(
+        rng_from(derive_seed(seed, i)).integers(
+            0, width_at(m, i - 1), size=(width_at(m, i), f)
+        )
+        for i in range(1, randomized_depth(m) + 1)
     )
 
 
@@ -311,12 +318,13 @@ def build_randomized(
 # ---------------------------------------------------------------------------
 
 
-def fire(c: RobustCircuit, layer: int, below: np.ndarray) -> np.ndarray:
-    """(rows x gates) uint8 outputs of a layer (1-based) on the rows of the
-    layer below, a (rows x width_in(layer)) 0/1 array; evaluate, the
-    completeness probe and the verifier all fire gates here."""
-    ones = below.take(c.layers[layer - 1], axis=1).sum(axis=2)
-    return (ones >= c.fire_count(layer)).astype(np.uint8)
+def fire(idx: np.ndarray, count: int, below: np.ndarray) -> np.ndarray:
+    """(rows x gates) uint8 outputs of the gates wired by idx (gates x fan_in
+    positions), each firing on at least count ones, on the rows of the layer
+    below, a 0/1 array; evaluate, the completeness probe and the verifier
+    all fire gates here."""
+    ones = below.take(idx, axis=1).sum(axis=2)
+    return (ones >= count).astype(np.uint8)
 
 
 def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
@@ -328,7 +336,7 @@ def evaluate(c: RobustCircuit, input_bits: Sequence[int]) -> list[LayerString]:
     current = np.asarray(input_bits, dtype=np.uint8)[None, :]
     out: list[LayerString] = []
     for layer in range(1, c.depth + 1):
-        current = fire(c, layer, current)
+        current = fire(c.layers[layer - 1], c.fire_count(layer), current)
         out.append(tuple(current[0].tolist()))
     return out
 
@@ -530,13 +538,15 @@ def seed_failure_event(
     m: int, f: int, scheme: ThresholdScheme
 ) -> Callable[[int], bool]:
     """Event: some full-budget honest input fails to reach an all-ones top
-    layer on a freshly wired circuit; both inputs fire as one array."""
+    layer on the wiring build_randomized(m, f, seed, scheme) would build;
+    both inputs fire as one array through the drawn layers, and sorting a
+    gate's inputs would not change its count."""
+    count = threshold_count(scheme.theta, f)
 
     def event(seed: int) -> bool:
-        c = build_randomized(m, f, seed, scheme)
         current = completeness_inputs(m, scheme.completeness, derive_seed(seed, 1))
-        for layer in range(1, c.depth + 1):
-            current = fire(c, layer, current)
+        for idx in _draw_layers(m, f, seed):
+            current = fire(idx, count, current)
         return not current.all()
 
     return event
@@ -596,13 +606,34 @@ def serialize_circuit(c: RobustCircuit) -> str:
     else:
         s = c.scheme
         header = f"rcirc/2 {fields} {frac_str(s.completeness)} {frac_str(s.soundness)}"
-    lines = [header]
+    parts = [f"{header}\n".encode()]
     for layer, idx in enumerate(c.layers, start=1):
-        # every input lies in [0, width_in), checked at construction; rows
-        # are converted one at a time to keep the peak of a wide layer low
-        name = [str(i) for i in range(c.width_in(layer))].__getitem__
-        lines.extend(" ".join(map(name, row.tolist())) for row in idx)
-    return "\n".join(lines) + "\n"
+        parts.extend(_layer_bytes(idx, c.width_in(layer)))
+    text = b"".join(parts)
+    del parts  # freed before decode makes the text's last copy
+    return text.decode()
+
+
+def _layer_bytes(idx: np.ndarray, w_in: int):
+    """A layer's gate lines as ASCII bytes, in blocks of at most
+    _SERIAL_BLOCK tokens (so a wide layer's peak memory stays low).
+
+    Each block is one gather from a table of NUL-padded byte strings "p "
+    per input position p (every input lies in [0, w_in), checked at
+    construction), with "p\\n" in a row's last column; deleting the NULs
+    leaves the text. Entries are padded to a power-of-two width, which
+    numpy gathers as whole machine words."""
+    width = 1 << len(str(w_in - 1)).bit_length()  # > the longest name
+    spaced = np.array([f"{p} " for p in range(w_in)], dtype=f"S{width}")
+    ended = spaced.copy()
+    raw = ended.view(np.uint8)
+    raw[raw == ord(" ")] = ord("\n")
+    rows = max(1, _SERIAL_BLOCK // idx.shape[1])
+    for lo in range(0, len(idx), rows):
+        block = idx[lo : lo + rows]
+        tokens = spaced[block]
+        tokens[:, -1] = ended[block[:, -1]]
+        yield tokens.tobytes().translate(None, b"\0")
 
 
 def _scan_gate_lines(lines: list[str], first: int, w: int, w_in: int) -> list:

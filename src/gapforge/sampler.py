@@ -102,20 +102,39 @@ class RegularGraph:
 
 def _pairing_graph(N: int, D: int, rng: np.random.Generator) -> np.ndarray | None:
     """One configuration-model draw repaired to a simple D-regular graph (swaps
-    only permute the second column): its (N*D/2, 2) edge list, or None."""
+    only permute the second column): its (N*D/2, 2) edge list, or None.
+
+    Each sweep marks the loops and every copy of a repeated edge, then swaps
+    each marked edge's far end with that of a random partner, in order. A
+    table of N^2 copy counts, one per key min*N + max in the smallest
+    unsigned type that holds D, is updated only where a sweep's swaps
+    touched; callers already hold N^2 entries (a family's incidence, the
+    complement's mask), so it never dominates their memory."""
     stubs = np.repeat(np.arange(N, dtype=np.int64), D)
     rng.shuffle(stubs)
     pairs = stubs.reshape(-1, 2)
+    near, far = pairs[:, 0], pairs[:, 1]
+    keys = np.minimum(near, far) * N + np.maximum(near, far)
+    copies = np.zeros(N * N, dtype=np.min_scalar_type(D))
+    one = copies.dtype.type(1)  # ufunc.at is fast only when the types match
+    np.add.at(copies, keys, one)
+    # the swaps write through to pairs; a memoryview's item access is far
+    # cheaper than numpy scalar indexing
+    ends = memoryview(far)
     for _ in range(_REPAIR_SWEEPS):
-        u, v = pairs[:, 0], pairs[:, 1]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        _, edge, copies = np.unique(lo * N + hi, return_inverse=True, return_counts=True)
-        bad = np.flatnonzero((u == v) | (copies[edge] > 1))
+        bad = np.flatnonzero((near == far) | (copies[keys] > 1))
         if bad.size == 0:
             return pairs
-        partners = rng.integers(0, pairs.shape[0], size=bad.size)
-        for i, j in zip(bad, partners):
-            pairs[i, 1], pairs[j, 1] = pairs[j, 1], pairs[i, 1]
+        partners = rng.integers(0, len(far), size=bad.size)
+        for i, j in zip(bad.tolist(), partners.tolist()):
+            ends[i], ends[j] = ends[j], ends[i]
+        touched = np.zeros(len(far), dtype=bool)
+        touched[bad] = touched[partners] = True
+        moved = np.flatnonzero(touched)
+        np.subtract.at(copies, keys[moved], one)
+        u, v = near[moved], far[moved]
+        keys[moved] = np.minimum(u, v) * N + np.maximum(u, v)
+        np.add.at(copies, keys[moved], one)
     return None
 
 
@@ -195,8 +214,11 @@ def build_expander(N: int, D: int, seed: int) -> RegularGraph:
                 pairs = _pairing_graph(N, build_deg, rng)
                 if pairs is None:
                     continue
-            # row v: the far end of each edge end at v
-            ends = np.argsort(pairs.ravel(), kind="stable")
+            # row v: the far end of each edge end at v; a stable sort of the
+            # smallest type that holds N - 1 is a radix sort
+            ends = np.argsort(
+                pairs.ravel().astype(np.min_scalar_type(N - 1)), kind="stable"
+            )
             adj = pairs[:, ::-1].ravel()[ends].reshape(N, build_deg)
             graph = RegularGraph(N, D, _complement(adj) if use_complement else adj)
         if graph.connected_non_bipartite():

@@ -237,7 +237,8 @@ def _path_ok(ts: TransformedSystem, layer: list) -> np.ndarray:
     ok = np.empty((len(widths), layer[0].shape[0], j.size), dtype=bool)
     for i in range(1, len(widths)):
         g = j % widths[i]
-        ok[i - 1] = fire(ts.circuit, i, layer[i - 1])[:, g] == layer[i][:, g]
+        fired = fire(ts.circuit.layers[i - 1], ts.circuit.fire_count(i), layer[i - 1])
+        ok[i - 1] = fired[:, g] == layer[i][:, g]
     ok[-1] = layer[-1][:, j % widths[-1]] == 1
     return ok
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapforge import sampler
 from gapforge.circuit import (
     DEFAULT_SCHEME,
     RobustCircuit,
@@ -53,6 +54,28 @@ def list_instance(base: CspInstance, entries: np.ndarray) -> CspInstance:
         tuple(base.clauses[j] for j in entries),
         base.width,
     )
+
+
+def pairing_graph_reference(
+    N: int, D: int, rng: np.random.Generator
+) -> np.ndarray | None:
+    """sampler._pairing_graph as it was before its copy-count table: every
+    sweep recounts all edge keys with np.unique. Kept to cross-check the
+    table's incremental updates; reads sampler._REPAIR_SWEEPS at call time."""
+    stubs = np.repeat(np.arange(N, dtype=np.int64), D)
+    rng.shuffle(stubs)
+    pairs = stubs.reshape(-1, 2)
+    for _ in range(sampler._REPAIR_SWEEPS):
+        u, v = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _, edge, copies = np.unique(lo * N + hi, return_inverse=True, return_counts=True)
+        bad = np.flatnonzero((u == v) | (copies[edge] > 1))
+        if bad.size == 0:
+            return pairs
+        partners = rng.integers(0, pairs.shape[0], size=bad.size)
+        for i, j in zip(bad, partners):
+            pairs[i, 1], pairs[j, 1] = pairs[j, 1], pairs[i, 1]
+    return None
 
 
 def layer_means(layer_strings: Sequence[Sequence[int]]) -> list[Fraction]:

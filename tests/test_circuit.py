@@ -21,6 +21,7 @@ from gapforge.circuit import (
     circuit_digest,
     completeness_inputs,
     evaluate,
+    fire,
     parse_circuit,
     randomized_depth,
     seed_failure_event,
@@ -510,8 +511,66 @@ class TestRandomizedCompleteness:
                 outcomes.add(want)
         assert outcomes == {True, False}
 
+    def test_probe_fires_what_build_randomized_wires(self):
+        # the probe draws its layers without building a circuit; firing the
+        # built circuit's sorted layers must give the same verdict
+        m, scheme, outcomes = 256, DEFAULT_SCHEME, set()
+        for f in range(2, 17):
+            event = seed_failure_event(m, f, scheme)
+            for i in range(48):
+                seed = derive_seed(0x9B0B, f, i)
+                c = build_randomized(m, f, seed, scheme)
+                top = completeness_inputs(m, scheme.completeness, derive_seed(seed, 1))
+                for layer in range(1, c.depth + 1):
+                    top = fire(c.layers[layer - 1], c.fire_count(layer), top)
+                want = not top.all()
+                assert event(seed) == want, (f, i)
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+
+def _joined_rcirc(c: RobustCircuit) -> str:
+    """serialize_circuit as it was before its token-table gather: one
+    " ".join per gate row."""
+    text = serialize_circuit(c)
+    lines = [text[: text.index("\n")]]
+    for idx in c.layers:
+        lines.extend(" ".join(str(p) for p in row) for row in idx.tolist())
+    return "\n".join(lines) + "\n"
+
 
 class TestSerialization:
+    GAP = ThresholdScheme(Fraction(19, 20), Fraction(1, 2))
+
+    CASES = {
+        # input widths on both sides of a change in token length
+        **{f"w{m}": (lambda m=m: build_randomized(m, 3, seed=m)) for m in (10, 11, 100, 101)},
+        **{f"w{m}": (lambda m=m: build_randomized(m, 5, seed=m)) for m in (999, 1000, 1001)},
+        "fan-in-1": lambda: build_randomized(300, 1, seed=3),
+        "rcirc2-det": lambda: build_deterministic(16, seed=0, scheme=TestSerialization.GAP),
+        "rcirc2-rand": lambda: build_randomized(128, 4, seed=5, scheme=TestSerialization.GAP),
+        "det-1024": lambda: build_deterministic(1024, seed=1),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_token_gather_matches_per_row_join(self, case):
+        c = self.CASES[case]()
+        text = serialize_circuit(c)
+        assert text == _joined_rcirc(c)
+        assert text.startswith("rcirc/2 " if "rcirc2" in case else "rcirc ")
+        assert parse_circuit(text) == c
+        if case == "det-1024":  # layer 1 spans more than one gather block
+            assert c.layers[0].size > circuit_mod._SERIAL_BLOCK
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_block_boundaries_do_not_show(self, monkeypatch, block):
+        # blocks narrower than a row, splitting rows, and a few rows each
+        monkeypatch.setattr(circuit_mod, "_SERIAL_BLOCK", block)
+        for c in (build_randomized(100, 3, seed=1), build_deterministic(64, seed=2)):
+            text = serialize_circuit(c)
+            assert text == _joined_rcirc(c)
+            assert parse_circuit(text) == c
+
     def test_digest_serializes_once(self, monkeypatch):
         c = build_deterministic(64, seed=4)
         want = hashlib.sha256(serialize_circuit(c).encode()).hexdigest()

@@ -24,8 +24,11 @@ from gapforge.sampler import (
     second_eigenvalue_dense,
     trace_lambda_sq_bound,
 )
-from gapforge.sampler import _neighbor_sum
+from gapforge import sampler
+from gapforge.sampler import _neighbor_sum, _pairing_graph
 from gapforge.util import derive_seed, rng_from
+
+from conftest import pairing_graph_reference
 
 
 # two disjoint copies of K4, and a 3-regular bipartite graph on 4 + 4 vertices
@@ -135,6 +138,43 @@ class TestBuildExpander:
             if second_eigenvalue_dense(g) < 0.95:
                 good += 1
         assert good >= 90
+
+
+class TestPairingRepair:
+    # (1024, 127) is the deterministic m = 1024 circuit's layer-1 build
+    # degree, (1536, 64) the reduction family's degree at 1536 positions
+    CASES = ((1024, 127), (512, 63), (1536, 64), (16, 3))
+
+    @pytest.mark.parametrize("N, D", CASES)
+    def test_copy_count_table_matches_per_sweep_unique(self, N, D):
+        for seed in range(4):
+            got = _pairing_graph(N, D, rng_from(derive_seed(seed, N, D)))
+            want = pairing_graph_reference(N, D, rng_from(derive_seed(seed, N, D)))
+            assert got is not None and want is not None
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (N, D, seed)
+
+    def test_both_give_up_when_the_sweeps_run_out(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_REPAIR_SWEEPS", 1)
+        gave_up = 0
+        for N, D in self.CASES:
+            for seed in range(4):
+                got = _pairing_graph(N, D, rng_from(seed))
+                want = pairing_graph_reference(N, D, rng_from(seed))
+                assert (got is None) == (want is None)
+                if got is None:
+                    gave_up += 1
+                else:
+                    assert np.array_equal(got, want)
+        assert gave_up >= 12  # every draw but some at (16, 3) needs a swap
+
+    def test_repaired_graph_is_simple_and_regular(self):
+        for N, D in self.CASES:
+            pairs = _pairing_graph(N, D, rng_from(N))
+            lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+            assert (lo < hi).all()
+            assert np.unique(lo * N + hi).size == len(pairs)
+            assert (np.bincount(pairs.ravel(), minlength=N) == D).all()
 
 
 class TestSecondEigenvalue:
